@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from mpmath import iv, mpf
+from mpmath import iv, mp, mpf
+from mpmath.libmp import mpf_pos, round_ceiling
 
 from .intlinalg import IntMat, det, delta as delta_of
 from .lp import solve_lp
@@ -32,6 +33,12 @@ def _ivx(x):
 
 def _log2(x):
     return iv.log(_ivx(x)) / iv.log(2)
+
+
+def _upper(x):
+    """The upper endpoint of interval x, rounded up to an mpf at the working
+    precision, so the result is never below the endpoint."""
+    return mp.make_mpf(mpf_pos(x._mpi_[1], mp.prec, round_ceiling))
 
 
 def sparsity_constants():
@@ -53,14 +60,15 @@ def sparsity_bound(m: int, delta: int):
         c1 * m + log2(delta) + (m/2) * log2(c2 + log2(delta)/m)
 
     with (c1, c2) from :func:`sparsity_constants`.  Returns the upper
-    endpoint of the 128-bit interval evaluation (a valid upper bound).
+    endpoint of the 128-bit interval evaluation, rounded up to the working
+    precision (a valid upper bound).
     """
     if m < 1 or delta < 1:
         raise ValueError("require m >= 1 and delta >= 1")
     c1, c2 = sparsity_constants()
     ld = _log2(delta)
     val = c1 * m + ld + iv.mpf(m) / 2 * _log2(c2 + ld / m)
-    return mpf(val.b)
+    return _upper(val)
 
 
 def rough_sparsity_coeffs(c1, c2, k):
@@ -81,13 +89,13 @@ def rough_sparsity_coeffs(c1, c2, k):
     is the c1' that does dominate it: whenever the closed form bounds n, so
     does c1'*m + c2'*log2(D).
 
-    Exact interval evaluation; upper endpoints are returned.
+    Exact interval evaluation; upper endpoints, rounded up, are returned.
     """
     c1i, c2i, ki = _ivx(c1), _ivx(c2), _ivx(k)
     ln4 = iv.log(4)
     c1p = c1i + _log2(iv.sqrt(ki + c2i)) - 1 / ln4
     c2p = 1 + 1 / ((ki + c2i) * ln4)
-    return mpf(c1p.b), mpf(c2p.b)
+    return _upper(c1p), _upper(c2p)
 
 
 def proximity_bound_bounded(m: int, delta: int, det_s: int) -> int:
@@ -168,7 +176,7 @@ def vertex_count_bound(n: int, m: int, s: int, delta: int, form: str = "cf"):
 
     where s is the slack sparsity parameter.  For form "sf" the caller
     passes delta already multiplied by |det S|; the formula is identical.
-    Returns the upper endpoint of the interval evaluation.
+    Returns the upper endpoint of the interval evaluation, rounded up.
     """
     if n < 1 or m < 0 or s < 1 or delta < 1:
         raise ValueError("require n >= 1, m >= 0, s >= 1, delta >= 1")
@@ -183,7 +191,7 @@ def vertex_count_bound(n: int, m: int, s: int, delta: int, form: str = "cf"):
     )
     logterm = _log2(2 * _ivx(s + 1) ** iv.mpf("2.5") * delta**2)
     val = _ivx(combinatorial) * logterm ** (s - 1)
-    return mpf(val.b)
+    return _upper(val)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Subcommands: solve, reduce, normalize, bounds, gen, verify, bench.  Output
 is line-oriented ``key: value`` text with a stable key order, so identical
 (file, flags, seed) inputs produce byte-identical stdout; wall-clock timing
 goes to stderr.  Exit codes: 0 solved/verified, 2 infeasible, 3 unbounded,
-4 input error, 5 enumeration cap refused.
+4 input error, 5 enumeration cap refused or recursion limit reached.
 """
 
 from __future__ import annotations
@@ -549,6 +549,10 @@ def main(argv=None) -> int:
         code = EXIT_INFEASIBLE
     except CapExceeded as exc:
         _emit("error", "cap-exceeded")
+        _emit("error.detail", exc)
+        code = EXIT_CAP
+    except RecursionError as exc:
+        _emit("error", "recursion-limit")
         _emit("error.detail", exc)
         code = EXIT_CAP
     except (FormatError, FileNotFoundError, IsADirectoryError, ValueError) as exc:

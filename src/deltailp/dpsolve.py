@@ -12,10 +12,13 @@
   doubling DP over discrepancy-sized state windows combines two half
   solutions per level; level i covers solutions with l1 norm up to
   (6/5)^i.
-- :func:`detect_unbounded` — decides unboundedness by solving the
-  homogeneous problem restricted to the recession-cone norm budget
-  (m+1) * |det S| * Delta with an extra l1-budget row, and returns a ray
-  certificate when a negative-objective homogeneous solution exists.
+- :func:`detect_unbounded` — decides unboundedness of an instance with
+  arbitrary costs by solving the homogeneous problem restricted to the
+  recession-cone norm budget (m+1) * |det S| * Delta with an extra
+  l1-budget row, and returns a ray certificate when a negative-objective
+  homogeneous solution exists.  :func:`solve_ilp_sf_unbounded` does not
+  call it: it requires c >= 0, and with x >= 0 that bounds the objective
+  below by 0, so no such ray exists there.
 
 DP values are (cost, l1) pairs compared lexicographically in the queue
 variant, so witnesses are deterministic; the binarized variant tracks
@@ -50,6 +53,8 @@ from .model import (
 )
 
 INF = None  # unreachable DP value
+_DENSE_BIG = 1 << 60  # unreachable entry of the int64 doubling tables
+_PAD_CELLS = 1 << 16  # block budget of the dense doubling step, in entries
 
 
 @dataclass(frozen=True)
@@ -270,7 +275,7 @@ def _default_chi(instance: StandardInstance) -> int:
     val = chi_bound(
         instance.m, "delta", delta=delta, det_s=abs(instance.det_s)
     )
-    return max(1, int(math.ceil(float(val))))
+    return max(1, val)
 
 
 def _recenter(instance: StandardInstance, chi: int):
@@ -776,7 +781,7 @@ def _unbounded_dp_dense(instance, b_target, g_target, rho, params):
     b_mat = instance.A.submatrix([0], list(params.base))
     binv_b = inverse_times(b_mat, list(b_target))
 
-    big = 1 << 60
+    big = _DENSE_BIG
     lo: list[int] = []
     arrays: list = []
     for i in range(rho + 1):
@@ -802,25 +807,40 @@ def _unbounded_dp_dense(instance, b_target, g_target, rho, params):
     for i in range(1, rho + 1):
         prev, cur = arrays[i - 1], arrays[i]
         p_len, c_len = prev.shape[0], cur.shape[0]
-        for i2 in range(p_len):
-            y2 = lo[i - 1] + i2
-            # overlap of y3 = y - y2 (y in cur window) with the prev window
-            a = max(lo[i - 1], lo[i] - y2)
-            b = min(lo[i - 1] + p_len - 1, lo[i] + c_len - 1 - y2)
-            if a > b:
+        # sum index s maps to y = 2 * lo[i - 1] + s in the cur window
+        s0 = max(0, lo[i] - 2 * lo[i - 1])
+        s1 = min(2 * p_len - 1, lo[i] + c_len - 2 * lo[i - 1])
+        if s0 >= s1:
+            continue
+        # min-plus over blocks of k rows i2: the skew view puts
+        # prev[j + t, r2] + prev[i3, r3] at pad[t, t + i3], so column q of
+        # pad holds the anti-diagonal i2 + i3 = j + q of the block; entries
+        # off that band stay big.  The pad holds at most 2 * _PAD_CELLS
+        # entries, or p_len + 1 when one row exceeds the budget.
+        # Only columns q0:q1 map into the cur window, and they read band
+        # entries with i3 in t0:t1 alone, so only those are written.  The
+        # pairs (r2, r3) and (r3, r2) give the same minima, so r2 <= r3.
+        k = max(1, min(p_len, _PAD_CELLS // p_len))
+        pad = np.full((k, p_len + k), big, dtype=np.int64)
+        step = pad.strides[1]
+        prev_t = np.ascontiguousarray(prev.T)
+        for j in range(0, p_len, k):
+            kk = min(k, p_len - j)
+            q0, q1 = max(0, s0 - j), min(p_len + kk - 1, s1 - j)
+            if q0 >= q1:
                 continue
-            seg = prev[a - lo[i - 1] : b - lo[i - 1] + 1, :]
-            rows = slice(a + y2 - lo[i], b + y2 - lo[i] + 1)
+            t0, t1 = max(0, q0 - kk + 1), min(p_len, q1)
+            skew = np.lib.stride_tricks.as_strided(
+                pad, shape=(kk, p_len), strides=(pad.strides[0] + step, step)
+            )[:, t0:t1]
+            base = 2 * lo[i - 1] + j - lo[i]
+            rows = slice(base + q0, base + q1)
             for r2 in range(r_count):
-                v = prev[i2, r2]
-                if v >= big:
-                    continue
-                cand = seg + v
-                for r3 in range(r_count):
-                    rc = radd[r2][r3]
-                    np.minimum(
-                        cur[rows, rc], cand[:, r3], out=cur[rows, rc]
-                    )
+                left = prev_t[r2, j : j + kk, None]
+                for r3 in range(r2, r_count):
+                    np.add(left, prev_t[r3, t0:t1], out=skew)
+                    col = cur[rows, radd[r2][r3]]
+                    np.minimum(col, pad[:kk, q0:q1].min(axis=0), out=col)
 
     y_t = b_target[0]
     if not (lo[rho] <= y_t <= lo[rho] + arrays[rho].shape[0] - 1):
@@ -831,18 +851,30 @@ def _unbounded_dp_dense(instance, b_target, g_target, rho, params):
 
     memo: dict = {}
 
-    def val(i, y, ri):
-        idx = y - lo[i]
-        if not 0 <= idx < arrays[i].shape[0]:
+    def split(i, y, ri, v):
+        # first (y2, r2) in (y2, r2) scan order with
+        # prev[y2, r2] + prev[y - y2, ri - r2] == v; values are >= 0 and
+        # v < big, so a sum that hits v never involves an unreachable entry.
+        # Its temporaries die here, not on the stack of the recursion.
+        prev, p_lo = arrays[i - 1], lo[i - 1]
+        off = y - 2 * p_lo  # index of y2 plus index of y - y2
+        a = max(0, off - prev.shape[0] + 1)
+        b = min(prev.shape[0] - 1, off)
+        if a > b:
             return None
-        v = int(arrays[i][idx, ri])
-        return None if v >= big else v
+        right = prev[off - b : off - a + 1][::-1][:, rsub[ri]]
+        hits = (prev[a : b + 1] + right == v).ravel()
+        first = int(hits.argmax())
+        if not hits[first]:
+            return None
+        i2, r2 = divmod(first, r_count)
+        return p_lo + a + i2, r2
 
     def rec(i, y, ri):
         key = (i, y, ri)
         if key in memo:
             return memo[key]
-        v = val(i, y, ri)
+        v = int(arrays[i][y - lo[i], ri])
         if i == 0:
             x = [0] * n
             if (y, ri) in col_of:
@@ -851,21 +883,15 @@ def _unbounded_dp_dense(instance, b_target, g_target, rho, params):
                 assert y == 0 and ri == r_index[zero_g] and v == 0
             memo[key] = x
             return x
-        p_len = arrays[i - 1].shape[0]
-        for i2 in range(p_len):
-            y2 = lo[i - 1] + i2
-            for r2 in range(r_count):
-                v2 = val(i - 1, y2, r2)
-                if v2 is None:
-                    continue
-                v3 = val(i - 1, y - y2, rsub[ri][r2])
-                if v3 is not None and v2 + v3 == v:
-                    x1 = rec(i - 1, y2, r2)
-                    x2 = rec(i - 1, y - y2, rsub[ri][r2])
-                    x = [a + b for a, b in zip(x1, x2)]
-                    memo[key] = x
-                    return x
-        raise AssertionError("doubling table admits no consistent split")
+        found = split(i, y, ri, v)
+        if found is None:
+            raise AssertionError("doubling table admits no consistent split")
+        y2, r2 = found
+        x1 = rec(i - 1, y2, r2)
+        x2 = rec(i - 1, y - y2, rsub[ri][r2])
+        x = [s + t for s, t in zip(x1, x2)]
+        memo[key] = x
+        return x
 
     return top, rec(rho, y_t, r_index[g_target])
 
@@ -877,21 +903,19 @@ def solve_ilp_sf_unbounded(
 ) -> SolveOutcome:
     """Exact optimum of an unbounded generalized standard form instance.
 
-    Requires all upper bounds +inf and nonnegative costs.  Unboundedness
-    is impossible under c >= 0 but is checked first via the recession-cone
-    test.  rho overrides the doubling depth (the default is derived from
-    the proximity-based recentering); dense forces or forbids the
-    numpy-dense m = 1 code path.
+    Requires all upper bounds +inf and nonnegative costs.  With c >= 0
+    and x >= 0 the objective is bounded below by 0, so the instance is
+    never unbounded and no recession-cone test is run.  rho overrides the
+    doubling depth (the default is derived from the proximity-based
+    recentering); dense forces or forbids the numpy-dense m = 1 code path,
+    which by default runs only when max(c) * 2^rho < 2^60, so that its
+    int64 tables cannot overflow; otherwise the Python-int generic path runs.
     """
     if any(is_finite(v) for v in instance.u):
         raise ValueError("unbounded solver requires all upper bounds +inf")
     if any(ci < 0 for ci in instance.c):
         raise ValueError("unbounded solver requires nonnegative costs")
     n, m = instance.n, instance.m
-
-    unbounded, ray = detect_unbounded(instance)
-    if unbounded:
-        return SolveOutcome.unbounded(certificate={"ray": ray})
 
     if m == 0:
         from .groupmin import gomory_solve
@@ -928,9 +952,16 @@ def solve_ilp_sf_unbounded(
         else ()
     )
     params = mu_params(instance.A)
-    use_dense = dense if dense is not None else (m == 1)
+    # A level-i value costs at most 2^i columns, so every finite value of
+    # the dense int64 tables, and every sum of two level-(i-1) values, is
+    # <= max(c) * 2^rho; below the "unreachable" mark 2^60 it stays exact
+    # and apart from it, and big + big = 2^61 cannot overflow int64.
+    fits = max(instance.c) * 2**rho < _DENSE_BIG
+    use_dense = dense if dense is not None else (m == 1 and fits)
     if use_dense and m != 1:
         raise ValueError("dense code path supports m = 1 only")
+    if use_dense and not fits:
+        raise ValueError("costs too large for the int64 dense code path")
     runner = _unbounded_dp_dense if use_dense else _unbounded_dp_generic
     value, xprime = runner(instance, b_target, g_target, rho, params)
     if value is None:

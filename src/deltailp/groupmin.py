@@ -151,6 +151,15 @@ def _is_cyclic(moduli) -> bool:
     return sum(1 for d in moduli if d > 1) <= 1
 
 
+def _doubling_rounds(r: int) -> int:
+    """ceil(log_{3/2} r) for r >= 2, and 1 for r = 1, in integers: the
+    smallest k >= 1 with 3^k >= r * 2^k."""
+    k = 1
+    while 3**k < r * 2**k:
+        k += 1
+    return k
+
+
 def cyclic_minplus_solve(instance: GroupInstance) -> SolveOutcome:
     """Exact minimum for a cyclic group via doubling (min,+)-convolutions.
 
@@ -179,7 +188,7 @@ def cyclic_minplus_solve(instance: GroupInstance) -> SolveOutcome:
         if pos < len(gen_codes) and gen_codes[pos] == g:
             level1[g] = gen_pairs[pos]
 
-    rounds = max(1, math.ceil(math.log(r) / math.log(1.5))) if r > 1 else 1
+    rounds = _doubling_rounds(r)
     levels = [level1]
     for _ in range(2, rounds + 1):
         doubled = levels[-1] + levels[-1]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -432,25 +433,38 @@ def enumerate_parallelepiped(
     s_diag = [decomp.S.entries[i][i] for i in range(n)]
     q_inv = adjugate(decomp.Q).scale(det(decomp.Q))  # exact inverse, det = +-1
     p = [Fraction(v) for v in p]
+    a = A.entries
+    cols = list(zip(*a))
+    # Smith divisibility: every s_i divides s_n, so t = T / s_n with T integral
+    top = s_diag[-1]
     out: list[tuple[int, ...]] = []
     for r in itertools.product(*(range(si) for si in s_diag)):
         # residue point t = Q^{-1} S^{-1} r of the superlattice modulo Z^n
-        sr = [Fraction(ri, si) for ri, si in zip(r, s_diag)]
-        t = [
-            sum(Fraction(q_inv.entries[i][j]) * sr[j] for j in range(n))
-            for i in range(n)
+        sr = [ri * (top // si) for ri, si in zip(r, s_diag)]
+        t_num = [
+            sum(q_inv.entries[i][j] * sr[j] for j in range(n)) for i in range(n)
         ]
-        ranges = []
+        y0 = []
         for i in range(n):
-            lo = p[i] - gamma - t[i]
-            hi = p[i] + gamma - t[i]
-            ranges.append(range(math.ceil(lo), math.floor(hi) + 1))
-        for u in itertools.product(*ranges):
-            x = [t[i] + u[i] for i in range(n)]
-            y = [sum(A.entries[i][j] * x[j] for j in range(n)) for i in range(n)]
-            yi = tuple(int(v) for v in y)
-            assert all(Fraction(v).denominator == 1 for v in y)
-            out.append(yi)
+            v, rem = divmod(sum(a[i][j] * t_num[j] for j in range(n)), top)
+            if rem:
+                raise ArithmeticError("residue point does not map to Z^n")
+            y0.append(v)
+        # y = y0 + A u for the integer shifts u that keep t + u in the box
+        pts = [tuple(y0)]
+        for j, col in enumerate(cols):
+            t = Fraction(t_num[j], top)
+            lo = math.ceil(p[j] - gamma - t)
+            hi = math.floor(p[j] + gamma - t)
+            start = tuple(lo * v for v in col)
+            nxt = []
+            for y in pts:
+                y = tuple(map(operator.add, y, start))
+                for _ in range(lo, hi + 1):
+                    nxt.append(y)
+                    y = tuple(map(operator.add, y, col))
+            pts = nxt
+        out.extend(pts)
     out.sort()
     return out
 

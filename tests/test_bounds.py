@@ -2,7 +2,9 @@ import math
 import random
 
 import pytest
+from mpmath.libmp import mpf_cmp
 
+from deltailp import bounds as bounds_mod
 from deltailp.bounds import (
     chi_bound,
     mcmullen_xi,
@@ -51,6 +53,27 @@ class TestSparsity:
         for m, d in [(1, 1), (2, 5), (3, 64), (7, 3)]:
             expect = f1 * m + log2(d) + m / 2 * log2(f2 + log2(d) / m)
             assert float(sparsity_bound(m, d)) >= expect - 1e-12
+
+    def test_results_not_below_interval_upper_endpoint(self, monkeypatch):
+        # record every interval whose upper endpoint a bound returns, then
+        # compare the returned mpf with that endpoint exactly
+        seen = []
+        upper = bounds_mod._upper
+
+        def spy(x):
+            seen.append(x)
+            return upper(x)
+
+        monkeypatch.setattr(bounds_mod, "_upper", spy)
+        for m in range(1, 8):
+            for d in range(1, 300):
+                got = sparsity_bound(m, d)
+                assert mpf_cmp(got._mpf_, seen[-1]._mpi_[1]) >= 0, (m, d)
+        c1, c2 = sparsity_constants()
+        for k in (1, 3, 100):
+            got = rough_sparsity_coeffs(c1, c2, k)
+            for value, interval in zip(got, seen[-2:]):
+                assert mpf_cmp(value._mpf_, interval._mpi_[1]) >= 0, k
 
     def test_rough_coeffs_match_float(self):
         f1, f2 = c1_c2_float()

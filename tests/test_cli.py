@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from deltailp.cli import EXIT_INFEASIBLE, EXIT_INPUT, bench_knapsack_delta, main
+import deltailp.cli as cli_mod
+from deltailp.cli import (
+    EXIT_CAP,
+    EXIT_INFEASIBLE,
+    EXIT_INPUT,
+    bench_knapsack_delta,
+    main,
+)
 from deltailp.intlinalg import IntMat
 from deltailp.io import parse_instance, serialize_instance
 from deltailp.model import POS_INF, StandardInstance, validate
@@ -115,6 +122,17 @@ class TestSolve:
         code, out = run(capsys, "solve", "/no/such/file.json")
         assert code == EXIT_INPUT
         assert kv(out)["error"] == "input"
+
+    def test_recursion_error_exit_code(self, capsys, monkeypatch, cf_file):
+        def deep(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli_mod, "solve_bilp_sf", deep)
+        code = main(["solve", cf_file])
+        captured = capsys.readouterr()
+        assert code == EXIT_CAP
+        assert kv(captured.out)["error"] == "recursion-limit"
+        assert "Traceback" not in captured.out + captured.err
 
     def test_deterministic_output(self, capsys, cf_file):
         _, a = run(capsys, "solve", cf_file, "--seed", "9")

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from deltailp import dpsolve
 from deltailp.dpsolve import (
     SlidingWindowQueue,
+    _default_chi,
     binary_decomposition,
     detect_unbounded,
     mu_params,
@@ -274,6 +276,15 @@ class TestBoundedSolver:
         )
 
 
+class TestDefaultChi:
+    def test_exact_above_float_precision(self):
+        # chi = 3 * Delta * |det S| for m = 1; a float would round it
+        big = 2**53 + 1
+        inst = sf(2, 1, [[1, 1]], [[0, 1]], [big], [0], [0], [1, 1], [1, 1])
+        chi = _default_chi(inst)
+        assert chi == 3 * big and isinstance(chi, int)
+
+
 class TestMuParams:
     def test_small_row(self):
         p = mu_params(IntMat.from_rows([[2, 3]]))
@@ -378,3 +389,103 @@ class TestUnboundedSolver:
         v1 = solve_ilp_sf_unbounded(inst, rho=9).value
         v2 = solve_ilp_sf_unbounded(inst, rho=12).value
         assert v1 == v2
+
+
+def random_unbounded_m1(rng, n, det_s):
+    stack = random_unimodular(rng, n)
+    a_rows, g_rows = stack[:1], stack[1:]
+    s_diag = [1] * (n - 2) + [det_s]
+    x0 = [rng.randint(0, 3) for _ in range(n)]
+    b = [sum(r[j] * x0[j] for j in range(n)) for r in a_rows]
+    g = [
+        sum(r[j] * x0[j] for j in range(n)) % d
+        if rng.random() < 0.8
+        else rng.randrange(d)
+        for r, d in zip(g_rows, s_diag)
+    ]
+    c = [rng.randint(0, 5) for _ in range(n)]
+    return sf(n, 1, a_rows, g_rows, s_diag, b, g, [POS_INF] * n, c)
+
+
+class TestUnboundedPaths:
+    def test_never_calls_detect_unbounded(self, monkeypatch):
+        # c >= 0 rules out a recession ray, so the detector must not run
+        def fail(*args, **kwargs):
+            raise AssertionError("detect_unbounded called")
+
+        monkeypatch.setattr(dpsolve, "detect_unbounded", fail)
+        m0 = sf(1, 0, [], [[2]], [5], [], [1], [POS_INF], [1])
+        m1 = sf(2, 1, [[2, 3]], [[1, 1]], [1], [12], [0], [POS_INF] * 2, [1, 1])
+        assert solve_ilp_sf_unbounded(m0).value == 3
+        assert solve_ilp_sf_unbounded(m1).value == 4
+
+    def test_dense_matches_generic_seeded(self):
+        # the generic path can take over a minute at the default rho, so both
+        # paths run the same shallower doubling; their tables must then agree
+        rng = random.Random(2024)
+        for det_s in (1, 2, 3):
+            for n in (2, 3, 3):
+                inst = random_unbounded_m1(rng, n, det_s)
+                assert inst.det_s == det_s
+                dense = solve_ilp_sf_unbounded(inst, rho=6, dense=True)
+                generic = solve_ilp_sf_unbounded(inst, rho=6, dense=False)
+                assert dense.status == generic.status
+                assert dense.value == generic.value
+                assert dense.x == generic.x
+
+    def test_small_blocks_match_one_block(self, monkeypatch):
+        # a budget of 500 entries splits each level of these instances into
+        # blocks of 1-5 rows i2 with a partial last block; the tables, and so
+        # value and witness, must not depend on the split
+        rng = random.Random(2024)
+        insts = [
+            random_unbounded_m1(rng, n, det_s)
+            for det_s in (1, 2, 3)
+            for n in (2, 3, 3)
+        ]
+        ref = [solve_ilp_sf_unbounded(i, rho=6, dense=True) for i in insts]
+        monkeypatch.setattr(dpsolve, "_PAD_CELLS", 500)
+        for inst, want in zip(insts, ref):
+            got = solve_ilp_sf_unbounded(inst, rho=6, dense=True)
+            assert (got.status, got.value, got.x) == (
+                want.status, want.value, want.x
+            )
+
+    def test_large_costs_leave_the_int64_path(self):
+        # max(c) * 2^rho >= 2^60 routes auto to the Python-int path
+        scale = 2**55
+        small = sf(2, 1, [[2, 3]], [[1, 1]], [2], [8], [1], [POS_INF] * 2, [1, 2])
+        large = sf(
+            2, 1, [[2, 3]], [[1, 1]], [2], [8], [1], [POS_INF] * 2,
+            [scale, 2 * scale + 1],
+        )
+        ref = solve_ilp_sf_unbounded(small, rho=8, dense=True)
+        auto = solve_ilp_sf_unbounded(large, rho=8)
+        generic = solve_ilp_sf_unbounded(large, rho=8, dense=False)
+        assert auto.status == generic.status == "optimal"
+        assert auto.value == generic.value
+        assert auto.x == generic.x == ref.x
+        assert auto.value == objective_value(large, auto.x)
+        assert auto.value == ref.value * scale + ref.x[1]
+        with pytest.raises(ValueError):
+            solve_ilp_sf_unbounded(large, rho=8, dense=True)
+
+    def test_costs_just_under_the_limit_stay_dense(self, monkeypatch):
+        # max(c) * 2^rho = 2^60 - 2^8: auto keeps the int64 path, whose
+        # values must equal the Python-int ones
+        rho, top = 8, 2**52 - 1
+        inst = sf(
+            2, 1, [[2, 3]], [[1, 1]], [2], [8], [1], [POS_INF] * 2,
+            [top - 1, top],
+        )
+        generic = solve_ilp_sf_unbounded(inst, rho=rho, dense=False)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("generic path used")
+
+        monkeypatch.setattr(dpsolve, "_unbounded_dp_generic", fail)
+        auto = solve_ilp_sf_unbounded(inst, rho=rho)
+        assert auto.status == generic.status == "optimal"
+        assert auto.value == generic.value
+        assert auto.x == generic.x
+        assert auto.value == objective_value(inst, auto.x)

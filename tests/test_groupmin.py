@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
 
 from deltailp.groupmin import (
     WitnessError,
+    _doubling_rounds,
     cyclic_minplus_solve,
     face_support_witness,
     gomory_solve,
@@ -140,6 +142,14 @@ class TestCyclic:
                 for t, g in zip(a.x, inst.generators):
                     acc = grp.add(acc, grp.scale(t, g))
                 assert acc == grp.reduce(inst.target)
+
+
+    def test_doubling_rounds_match_log_formula(self):
+        # the integer rule gives the round count the float logarithm gave
+        assert _doubling_rounds(1) == 1
+        for r in range(2, 10**5 + 1):
+            expect = max(1, math.ceil(math.log(r) / math.log(1.5)))
+            assert _doubling_rounds(r) == expect, r
 
 
 class TestCertificates:

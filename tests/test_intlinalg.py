@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -260,6 +261,52 @@ class TestEnumerateParallelepiped:
             pts = enumerate_parallelepiped(a, p, gamma)
             assert pts == self.brute(a, p, gamma)
             assert len(pts) <= (2 * gamma + 1) ** 2 * abs(d)
+
+
+    def test_dyadic_centres_1x1(self):
+        # centres (2^i / 2^rho) * b / a, as the unbounded doubling DP uses
+        for a_val in (1, -2, 3, 5, -6):
+            a = IntMat.from_rows([[a_val]])
+            for b_val in (-7, 0, 4, 11):
+                for rho in (1, 3, 5):
+                    for i in range(rho + 1):
+                        p = [Fraction(2**i, 2**rho) * Fraction(b_val, a_val)]
+                        for gamma in (0, 1, Fraction(3, 2), 4):
+                            pts = enumerate_parallelepiped(a, p, gamma)
+                            assert pts == self.brute(a, p, gamma)
+
+    def test_matches_membership_oracle_3x3(self):
+        # integer form of the membership test: A^{-1} y = adj(A) y / det(A)
+        # lies in the box iff each adj_i . y lies in an integer interval
+        rng = random.Random(7)
+        seen = set()
+        while len(seen) < 8:
+            a = random_mat(rng, 3, 3, 2)
+            d = det(a)
+            if not 1 <= abs(d) <= 12:
+                continue
+            seen.add(abs(d))
+            p = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(3)]
+            gamma = Fraction(rng.randint(1, 2), 2)
+            adj = adjugate(a).entries
+            ends = [sorted((d * (pi - gamma), d * (pi + gamma))) for pi in p]
+            lims = [(math.ceil(lo), math.floor(hi)) for lo, hi in ends]
+            bound = max(
+                sum(abs(v) * (abs(pj) + gamma) for v, pj in zip(row, p))
+                for row in a.entries
+            )
+            r = range(-math.floor(bound), math.floor(bound) + 1)
+            expect = [
+                y
+                for y in itertools.product(r, repeat=3)
+                if all(
+                    lo <= sum(v * w for v, w in zip(row, y)) <= hi
+                    for row, (lo, hi) in zip(adj, lims)
+                )
+            ]
+            pts = enumerate_parallelepiped(a, p, gamma)
+            assert pts == expect
+            assert len(pts) <= (2 * gamma + 1) ** 3 * abs(d)
 
 
 class TestMaxDetSubmatrix:
