@@ -3,8 +3,9 @@
 Subcommands: solve, reduce, normalize, bounds, gen, verify, bench.  Output
 is line-oriented ``key: value`` text with a stable key order, so identical
 (file, flags, seed) inputs produce byte-identical stdout; wall-clock timing
-goes to stderr.  Exit codes: 0 solved/verified, 2 infeasible, 3 unbounded,
-4 input error, 5 enumeration cap refused or recursion limit reached.
+goes to stderr.  Exit codes: 0 solved/verified, 1 a verify suite failed or
+a solver's answer failed its re-check, 2 infeasible, 3 unbounded, 4 input
+error, 5 enumeration cap refused or recursion limit reached.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .model import (
     NEG_INF,
     POS_INF,
     CanonicalInstance,
+    CertificateError,
     GroupInstance,
     GroupSpec,
     SolveOutcome,
@@ -461,7 +463,9 @@ def bench_knapsack_delta(
 def cmd_bench(args) -> int:
     if args.suite != "knapsack-delta":
         raise ValueError("unknown bench suite")
-    res = bench_knapsack_delta(n=args.n, repeats=args.repeats, seed=args.seed)
+    res = bench_knapsack_delta(
+        n=args.n, deltas=tuple(args.deltas), repeats=args.repeats, seed=args.seed
+    )
     _emit("suite", args.suite)
     _emit("n", res["n"])
     _emit("repeats", res["repeats"])
@@ -532,6 +536,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bn = sub.add_parser("bench", help="runtime scaling checks")
     bn.add_argument("--suite", default="knapsack-delta")
     bn.add_argument("--n", type=int, default=50)
+    bn.add_argument(
+        "--deltas", type=int, nargs=2, metavar=("LO", "HI"), default=(50, 100)
+    )
     bn.add_argument("--repeats", type=int, default=20)
     bn.add_argument("--seed", type=int, default=0)
     bn.set_defaults(func=cmd_bench)
@@ -555,6 +562,10 @@ def main(argv=None) -> int:
         _emit("error", "recursion-limit")
         _emit("error.detail", exc)
         code = EXIT_CAP
+    except CertificateError as exc:
+        _emit("error", "certificate")
+        _emit("error.detail", exc)
+        code = EXIT_FAIL
     except (FormatError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
         _emit("error", "input")
         _emit("error.detail", exc)

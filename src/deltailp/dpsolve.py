@@ -3,11 +3,14 @@
 - :func:`solve_bilp_sf` — bounded instances.  After recentering at an
   optimal LP vertex, a layered shortest-path DP over states
   (layer, residual right side, group residue) finds the exact optimum.
+  Residues live in ``StandardInstance.group``, the factors of S with
+  modulus > 1; a Z_1 factor constrains nothing and is not carried.
   Two equivalent variants: "queue" processes each layer along the
   path/cycle decomposition of the layer graph with sliding-window minima
-  (:func:`sliding_min_path` / :func:`sliding_min_cycle`); "binarized"
-  explores states lazily and compresses each per-variable window into
-  O(log) 0/1 arcs via :func:`binary_decomposition`.
+  (:func:`sliding_min_path` / :func:`sliding_min_cycle`, one monotone
+  deque each); "binarized" explores states lazily and compresses each
+  per-variable window into O(log) 0/1 arcs via
+  :func:`binary_decomposition`.  Both share one backward witness walk.
 - :func:`solve_ilp_sf_unbounded` — unbounded instances with c >= 0.  A
   doubling DP over discrepancy-sized state windows combines two half
   solutions per level; level i covers solutions with l1 norm up to
@@ -22,12 +25,13 @@
 
 DP values are (cost, l1) pairs compared lexicographically in the queue
 variant, so witnesses are deterministic; the binarized variant tracks
-costs only (both variants return equal objective values).
+costs only (both variants return equal objective values).  Every witness
+is re-checked with :func:`~deltailp.model.is_feasible`; a failed re-check
+raises :class:`~deltailp.model.CertificateError`, also under ``python -O``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -42,8 +46,8 @@ from .intlinalg import (
 )
 from .lp import solve_lp
 from .model import (
+    CertificateError,
     GroupInstance,
-    GroupSpec,
     POS_INF,
     SolveOutcome,
     StandardInstance,
@@ -52,19 +56,8 @@ from .model import (
     objective_value,
 )
 
-INF = None  # unreachable DP value
 _DENSE_BIG = 1 << 60  # unreachable entry of the int64 doubling tables
 _PAD_CELLS = 1 << 16  # block budget of the dense doubling step, in entries
-
-
-@dataclass(frozen=True)
-class DpState:
-    """One vertex of the layered shortest-path graph."""
-
-    layer: int
-    residual: tuple[int, ...]
-    residue: tuple[int, ...]
-    budget: int | None = None
 
 
 @dataclass(frozen=True)
@@ -100,43 +93,30 @@ def _combine(v, cost_shift, l1_shift):
     return v + cost_shift
 
 
-class SlidingWindowQueue:
-    """FIFO queue with amortized O(1) minimum via the two-stack trick."""
-
-    def __init__(self) -> None:
-        self._in: list = []  # (value, running min)
-        self._out: list = []
-
-    def __len__(self) -> int:
-        return len(self._in) + len(self._out)
-
-    def enqueue(self, v) -> None:
-        best = v if not self._in else _min2(v, self._in[-1][1])
-        self._in.append((v, best))
-
-    def dequeue(self):
-        if not self._out:
-            while self._in:
-                v, _ = self._in.pop()
-                best = v if not self._out else _min2(v, self._out[-1][1])
-                self._out.append((v, best))
-        return self._out.pop()[0]
-
-    def get_extremum(self):
-        best = None
-        if self._in:
-            best = _min2(best, self._in[-1][1])
-        if self._out:
-            best = _min2(best, self._out[-1][1])
-        return best
+def _window_min(keys: list, w: int) -> list:
+    """out[e] = min(keys[e - w + 1 .. e]) over the indices >= 0, None acting
+    as +infinity; a monotone deque (Lemire 2006), linear time."""
+    out: list = [None] * len(keys)
+    live: deque[int] = deque()  # indices of increasing keys, oldest first
+    for e, k in enumerate(keys):
+        if k is not None:
+            while live and keys[live[-1]] >= k:
+                live.pop()
+            live.append(e)
+        if live and live[0] <= e - w:  # at most one index leaves per step
+            live.popleft()
+        if live:
+            out[e] = keys[live[0]]
+    return out
 
 
 def sliding_min_cycle(values: list, cost, capacity: int) -> list:
     """out[i] = min over t in [0, capacity] of values[(i - t) mod l] + cost*t.
 
     values entries are numbers, (cost, l1) pairs, or None (+infinity); the
-    l1 component of pair values grows by t.  Linear time via a min-queue;
-    t is clamped to the cycle length - 1, which is exact for cost >= 0.
+    l1 component of pair values grows by t.  Linear time via a monotone
+    deque; t is clamped to the cycle length - 1, which is exact for
+    cost >= 0.
     """
     if cost < 0:
         raise ValueError("cycle relaxation requires a nonnegative cost")
@@ -144,67 +124,37 @@ def sliding_min_cycle(values: list, cost, capacity: int) -> list:
         raise ValueError("capacity must be nonnegative")
     l = len(values)
     w = min(capacity, l - 1)
-    q = SlidingWindowQueue()
-    heads: deque[int] = deque()
-
-    def key(j):
-        return _combine(values[j % l], -cost * j, -j)
-
-    for j in range(-w, 0):
-        q.enqueue(key(j))
-        heads.append(j)
-    out: list = [None] * l
-    for i in range(l):
-        q.enqueue(key(i))
-        heads.append(i)
-        while heads[0] < i - w:
-            q.dequeue()
-            heads.popleft()
-        out[i] = _combine(q.get_extremum(), cost * i, i)
-    return out
+    keys = [_combine(values[j % l], -cost * j, -j) for j in range(-w, l)]
+    mins = _window_min(keys, w + 1)
+    return [_combine(mins[i + w], cost * i, i) for i in range(l)]
 
 
 def sliding_min_path(values: list, cost, lower: int, upper: int) -> list:
     """out[i] = min over t in [lower, upper], i - l < t <= i, of
     values[i - t] + cost*t; value conventions as in sliding_min_cycle
-    (pair values gain |t| on the l1 component)."""
+    (pair values gain |t| on the l1 component).  Linear time via a
+    monotone deque over each sign of t."""
     if lower > upper:
         raise ValueError("empty variable window")
     l = len(values)
     out: list = [None] * l
 
-    # t >= 0: indices j = i - t scanned forward
+    # t >= 0: j = i - t runs over [i - upper, i - lb1]
     lb1 = max(lower, 0)
     if upper >= lb1:
-        q = SlidingWindowQueue()
-        heads: deque[int] = deque()
-        nxt = 0
-        for i in range(l):
-            while nxt <= min(i - lb1, l - 1):
-                q.enqueue(_combine(values[nxt], -cost * nxt, -nxt))
-                heads.append(nxt)
-                nxt += 1
-            while heads and heads[0] < i - upper:
-                q.dequeue()
-                heads.popleft()
-            out[i] = _combine(q.get_extremum(), cost * i, i)
+        keys = [_combine(values[j], -cost * j, -j) for j in range(l)]
+        mins = _window_min(keys, upper - lb1 + 1)
+        for i in range(lb1, l):
+            out[i] = _combine(mins[i - lb1], cost * i, i)
 
-    # t < 0: indices j = i - t > i scanned forward
-    if lower < 0:
-        gap = max(1, -upper)  # j >= i + gap enforces t <= min(upper, -1)
-        q = SlidingWindowQueue()
-        heads = deque()
-        nxt = gap
+    # t < 0: j = i - t runs over [i + gap, i - lo]; t > -l allows lo >= 1 - l,
+    # and the keys are padded past the end so the window keeps its width
+    lo, gap = max(lower, 1 - l), max(1, -upper)
+    if gap <= -lo:
+        keys = [_combine(values[j], -cost * j, j) for j in range(l)]
+        mins = _window_min(keys + [None] * -lo, -lo - gap + 1)
         for i in range(l):
-            while nxt <= min(i - lower, l - 1):
-                q.enqueue(_combine(values[nxt], -cost * nxt, nxt))
-                heads.append(nxt)
-                nxt += 1
-            while heads and heads[0] < i + gap:
-                q.dequeue()
-                heads.popleft()
-            cand = _combine(q.get_extremum(), cost * i, -i)
-            out[i] = _min2(out[i], cand)
+            out[i] = _min2(out[i], _combine(mins[i - lo], cost * i, -i))
     return out
 
 
@@ -231,41 +181,11 @@ def binary_decomposition(alpha: int, beta: int) -> list[int]:
     return weights
 
 
-def _residue_list(instance: StandardInstance) -> list[tuple[int, ...]]:
-    if instance.S is None:
-        return [()]
-    diag = [instance.S.entries[i][i] for i in range(instance.S.rows)]
-    return list(itertools.product(*(range(d) for d in diag)))
-
-
-def _sdiag(instance: StandardInstance) -> list[int]:
-    if instance.S is None:
-        return []
-    return [instance.S.entries[i][i] for i in range(instance.S.rows)]
-
-
-def _res_add(a, b, diag):
-    return tuple((x + y) % d for x, y, d in zip(a, b, diag))
-
-
-def _res_sub(a, b, diag):
-    return tuple((x - y) % d for x, y, d in zip(a, b, diag))
-
-
-def _res_scale(k, a, diag):
-    return tuple((k * x) % d for x, d in zip(a, diag))
-
-
-def _column_steps(instance: StandardInstance, k: int):
-    """(A-column, reduced G-column) of variable k."""
-    a = tuple(instance.A.col(k)) if instance.A is not None else ()
-    diag = _sdiag(instance)
-    g = (
-        tuple(v % d for v, d in zip(instance.G.col(k), diag))
-        if instance.G is not None
-        else ()
-    )
-    return a, g
+def _steps(instance: StandardInstance) -> list:
+    """(A-column, group residue of the column) of every variable."""
+    if instance.A is None:
+        return [((), g) for g in instance.group_columns]
+    return list(zip(instance.A.transpose().entries, instance.group_columns))
 
 
 def _default_chi(instance: StandardInstance) -> int:
@@ -278,12 +198,13 @@ def _default_chi(instance: StandardInstance) -> int:
     return max(1, val)
 
 
-def _recenter(instance: StandardInstance, chi: int):
+def _recenter(instance: StandardInstance, chi: int, steps: list):
     """LP-vertex recentering shared by both bounded variants.
 
     Returns None when the LP relaxation is already infeasible, otherwise
-    (shift, windows, H, b_target, g_target) where windows[k] = (alpha_k,
-    beta_k) is the recentered variable range clipped to [-H, H].  Columns
+    (shift, windows, H, target) where windows[k] = (alpha_k, beta_k) is
+    the recentered variable range clipped to [-H, H] and target the
+    (residual right side, group residue) state the DP must reach.  Columns
     that do not touch the equality rows keep shift 0; the state radius H
     is enlarged by |det S| - 1 per such column because their optimal
     values can always be reduced below the order of the group element.
@@ -293,11 +214,10 @@ def _recenter(instance: StandardInstance, chi: int):
     if lp.status == "infeasible":
         return None
     assert lp.status == "optimal"
-    diag = _sdiag(instance)
     zero_cols = []
     shift = []
     for k in range(n):
-        a_col, _ = _column_steps(instance, k)
+        a_col, _ = steps[k]
         if all(v == 0 for v in a_col):
             zero_cols.append(k)
             if instance.c[k] < 0:
@@ -314,23 +234,17 @@ def _recenter(instance: StandardInstance, chi: int):
         alpha = max(-shift[k], -h)
         beta = min(instance.u[k] - shift[k], h)
         windows.append((alpha, beta))
+    return shift, windows, h, _target(instance, shift)
+
+
+def _target(instance: StandardInstance, shift: list[int]) -> tuple:
+    """The state (b - A shift, g - G shift in group) a shifted DP must reach."""
     b_target = (
-        tuple(
-            bi - vi
-            for bi, vi in zip(instance.b, instance.A.matvec(shift))
-        )
+        tuple(bi - vi for bi, vi in zip(instance.b, instance.A.matvec(shift)))
         if instance.A is not None
         else ()
     )
-    g_target = (
-        tuple(
-            (gi - vi) % d
-            for gi, vi, d in zip(instance.g, instance.G.matvec(shift), diag)
-        )
-        if instance.G is not None
-        else ()
-    )
-    return shift, windows, h, b_target, g_target
+    return b_target, instance.group.sub(instance.group_target, instance.residue(shift))
 
 
 def _column_base(A: IntMat) -> tuple[tuple[int, ...], int]:
@@ -349,20 +263,19 @@ def _state_points(instance: StandardInstance, radius: int) -> list[tuple[int, ..
     return enumerate_parallelepiped(b_mat, [0] * m, radius)
 
 
-def _queue_dp(instance, windows, b_target, g_target, radius):
-    """Eager layered DP; returns (layers, value) with per-layer value dicts."""
-    n = instance.n
-    diag = _sdiag(instance)
+def _queue_dp(instance, steps, windows, target, radius):
+    """Eager layered DP with per-layer value dicts; returns (lookup, value)
+    with lookup(k, state) the value of state after the first k columns."""
+    grp = instance.group
     m_list = _state_points(instance, radius)
     m_set = set(m_list)
-    if b_target not in m_set:
+    if target[0] not in m_set:
         return None, None
-    residues = _residue_list(instance)
+    residues = grp.elements()
     res_orbits_cache: dict[tuple[int, ...], list[list[tuple[int, ...]]]] = {}
 
-    layers: list[dict] = [{((0,) * instance.m, (0,) * len(diag)): (0, 0)}]
-    for k in range(n):
-        a_col, g_col = _column_steps(instance, k)
+    layers: list[dict] = [{((0,) * instance.m, grp.zero): (0, 0)}]
+    for k, (a_col, g_col) in enumerate(steps):
         prev = layers[-1]
         cur: dict = {}
         alpha, beta = windows[k]
@@ -379,7 +292,7 @@ def _queue_dp(instance, windows, b_target, g_target, radius):
                     while cur_r not in seen:
                         seen.add(cur_r)
                         orbit.append(cur_r)
-                        cur_r = _res_add(cur_r, g_col, diag)
+                        cur_r = grp.add(cur_r, g_col)
                     orbits.append(orbit)
                 res_orbits_cache[g_col] = orbits
             bs = sorted({b for b, _ in prev})
@@ -400,7 +313,7 @@ def _queue_dp(instance, windows, b_target, g_target, radius):
                         continue
                     pred = (
                         tuple(x - y for x, y in zip(b0, a_col)),
-                        _res_sub(r0, g_col, diag),
+                        grp.sub(r0, g_col),
                     )
                     if pred[0] in m_set:
                         continue  # not a chain start
@@ -410,7 +323,7 @@ def _queue_dp(instance, windows, b_target, g_target, radius):
                         chain.append(s)
                         s = (
                             tuple(x + y for x, y in zip(s[0], a_col)),
-                            _res_add(s[1], g_col, diag),
+                            grp.add(s[1], g_col),
                         )
                     vals = [prev.get(t) for t in chain]
                     outs = sliding_min_path(vals, instance.c[k], alpha, beta)
@@ -418,45 +331,14 @@ def _queue_dp(instance, windows, b_target, g_target, radius):
                         if v is not None:
                             cur[t] = v
         layers.append(cur)
-    return layers, layers[-1].get((b_target, g_target))
+    return (lambda k, s: layers[k].get(s)), layers[-1].get(target)
 
 
-def _queue_witness(instance, layers, windows, b_target, g_target):
-    diag = _sdiag(instance)
-    y = [0] * instance.n
-    state = (b_target, g_target)
-    val = layers[-1][state]
-    for k in range(instance.n - 1, -1, -1):
-        a_col, g_col = _column_steps(instance, k)
-        alpha, beta = windows[k]
-        if all(v == 0 for v in a_col):
-            alpha = 0
-        prev = layers[k]
-        found = False
-        for t in range(alpha, beta + 1):
-            pred = (
-                tuple(x - t * y2 for x, y2 in zip(state[0], a_col)),
-                _res_sub(state[1], _res_scale(t, g_col, diag), diag),
-            )
-            pv = prev.get(pred)
-            if pv is not None and (
-                pv[0] + instance.c[k] * t,
-                pv[1] + abs(t),
-            ) == val:
-                y[k] = t
-                state, val = pred, pv
-                found = True
-                break
-        assert found, "witness reconstruction failed"
-    assert val == (0, 0)
-    return y
-
-
-def _binarized_dp(instance, windows, b_target, g_target, radius):
-    """Lazy memoized DP; per-layer windows compressed to 0/1 arcs."""
+def _binarized_dp(instance, steps, windows, target, radius):
+    """Lazy memoized DP; per-layer windows compressed to 0/1 arcs.  Returns
+    (lookup, value) as _queue_dp does, with plain costs as values."""
     n, m = instance.n, instance.m
-    diag = _sdiag(instance)
-    steps = [_column_steps(instance, k) for k in range(n)]
+    grp = instance.group
     if instance.A is not None:
         cols, _ = _column_base(instance.A)
         b_mat = instance.A.submatrix(list(range(m)), list(cols))
@@ -503,42 +385,47 @@ def _binarized_dp(instance, windows, b_target, g_target, radius):
         alpha, weights = weightings[k - 1]
         if i == 0:
             pred_b = tuple(x - alpha * y for x, y in zip(b, a_col))
-            pred_g = _res_sub(g, _res_scale(alpha, g_col, diag), diag)
+            pred_g = grp.sub(g, grp.scale(alpha, g_col))
             sub = rec(k - 1, pred_b, pred_g)
             out = None if sub is None else sub + cost * alpha
         else:
             s = weights[i - 1]
             skip = bits(k, i - 1, b, g)
             take_b = tuple(x - s * y for x, y in zip(b, a_col))
-            take_g = _res_sub(g, _res_scale(s, g_col, diag), diag)
+            take_g = grp.sub(g, grp.scale(s, g_col))
             take = bits(k, i - 1, take_b, take_g)
             out = _min2(skip, None if take is None else take + cost * s)
         bit_memo[key] = out
         return out
 
-    value = rec(n, b_target, g_target)
-    if value is None:
-        return None, None
+    return (lambda k, s: rec(k, *s)), rec(n, *target)
 
-    y = [0] * n
-    state = (b_target, g_target)
-    val = value
-    for k in range(n - 1, -1, -1):
+
+def _witness(instance, steps, windows, target, value, lookup):
+    """Recentered solution y reaching target with DP value value.
+
+    Walks the layers backwards: at column k it takes the first t in
+    [alpha_k, beta_k] whose predecessor value, shifted by the arc's
+    (c_k * t, |t|), equals the current value.  _combine applies the shift
+    to (cost, l1) pairs and to plain costs alike.
+    """
+    grp = instance.group
+    y = [0] * instance.n
+    for k in range(instance.n - 1, -1, -1):
         a_col, g_col = steps[k]
         alpha, beta = windows[k]
-        found = False
         for t in range(alpha, beta + 1):
-            pred_b = tuple(x - t * v for x, v in zip(state[0], a_col))
-            pred_g = _res_sub(state[1], _res_scale(t, g_col, diag), diag)
-            sub = rec(k, pred_b, pred_g)
-            if sub is not None and sub + instance.c[k] * t == val:
-                y[k] = t
-                state, val = (pred_b, pred_g), sub
-                found = True
+            pred = (
+                tuple(x - t * v for x, v in zip(target[0], a_col)),
+                grp.sub(target[1], grp.scale(t, g_col)),
+            )
+            pv = lookup(k, pred)
+            if pv is not None and _combine(pv, instance.c[k] * t, abs(t)) == value:
+                y[k], target, value = t, pred, pv
                 break
-        assert found, "witness reconstruction failed"
-    assert val == 0
-    return value, y
+        else:
+            raise CertificateError("witness reconstruction failed")
+    return y
 
 
 def solve_bilp_sf(
@@ -549,7 +436,8 @@ def solve_bilp_sf(
     chi must dominate the true l1 proximity between optimal LP vertices
     and optimal integer solutions (default: the Delta-based closed-form
     bound); variant selects the eager path/cycle decomposition ("queue")
-    or the lazy 0/1-compressed state graph ("binarized").
+    or the lazy 0/1-compressed state graph ("binarized").  Raises
+    CertificateError when the witness fails its feasibility re-check.
     """
     if variant not in ("queue", "binarized"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -559,28 +447,22 @@ def solve_bilp_sf(
         chi = _default_chi(instance)
     if chi <= 0:
         raise ValueError("proximity bound chi must be positive")
-    pre = _recenter(instance, chi)
+    steps = _steps(instance)
+    pre = _recenter(instance, chi, steps)
     if pre is None:
         return SolveOutcome.infeasible(certificate={"stage": "lp"})
-    shift, windows, radius, b_target, g_target = pre
+    shift, windows, radius, target = pre
 
-    if variant == "queue":
-        layers, val = _queue_dp(instance, windows, b_target, g_target, radius)
-        if val is None:
-            return SolveOutcome.infeasible(
-                certificate={"variant": variant, "radius": radius}
-            )
-        y = _queue_witness(instance, layers, windows, b_target, g_target)
-    else:
-        val_scalar, y = _binarized_dp(
-            instance, windows, b_target, g_target, radius
+    dp = _queue_dp if variant == "queue" else _binarized_dp
+    lookup, val = dp(instance, steps, windows, target, radius)
+    if val is None:
+        return SolveOutcome.infeasible(
+            certificate={"variant": variant, "radius": radius}
         )
-        if y is None:
-            return SolveOutcome.infeasible(
-                certificate={"variant": variant, "radius": radius}
-            )
+    y = _witness(instance, steps, windows, target, val, lookup)
     x = [yi + si for yi, si in zip(y, shift)]
-    assert is_feasible(instance, x), "DP produced an infeasible witness"
+    if not is_feasible(instance, x):
+        raise CertificateError("DP produced an infeasible witness")
     value = objective_value(instance, x)
     return SolveOutcome.optimal(
         x,
@@ -590,14 +472,10 @@ def solve_bilp_sf(
 
 
 def _as_group_instance(instance: StandardInstance) -> GroupInstance:
-    diag = _sdiag(instance)
     return GroupInstance(
-        group=GroupSpec(tuple(diag)),
-        generators=tuple(
-            tuple(v % d for v, d in zip(instance.G.col(j), diag))
-            for j in range(instance.n)
-        ),
-        target=tuple(v % d for v, d in zip(instance.g, diag)),
+        group=instance.group,
+        generators=instance.group_columns,
+        target=instance.group_target,
         costs=instance.c,
         bounds=(POS_INF,) * instance.n,
     )
@@ -670,11 +548,7 @@ def detect_unbounded(
     ray = out.x[:n]
     if instance.A is not None:
         assert all(v == 0 for v in instance.A.matvec(ray))
-    if instance.G is not None:
-        diag = _sdiag(instance)
-        assert all(
-            v % d == 0 for v, d in zip(instance.G.matvec(ray), diag)
-        )
+    assert instance.residue(ray) == instance.group.zero
     assert sum(ray) <= budget
     return True, ray
 
@@ -694,7 +568,7 @@ def _level_points(b_mat, binv_b, i, rho, radius):
 def _unbounded_dp_generic(instance, b_target, g_target, rho, params):
     """Dict-based doubling DP for any m >= 1; returns (value, witness)."""
     n, m = instance.n, instance.m
-    diag = _sdiag(instance)
+    grp = instance.group
     b_mat = instance.A.submatrix(list(range(m)), list(params.base))
     binv_b = inverse_times(b_mat, list(b_target))
     levels: list[dict] = []
@@ -703,12 +577,10 @@ def _unbounded_dp_generic(instance, b_target, g_target, rho, params):
         pts_sets.append(set(_level_points(b_mat, binv_b, i, rho, params.radius)))
 
     zero_b = (0,) * m
-    zero_g = (0,) * len(diag)
     d0: dict = {}
     if zero_b in pts_sets[0]:
-        d0[(zero_b, zero_g)] = (0, None)  # (value, column index)
-    for j in range(n):
-        a_col, g_col = _column_steps(instance, j)
+        d0[(zero_b, grp.zero)] = (0, None)  # (value, column index)
+    for j, (a_col, g_col) in enumerate(_steps(instance)):
         if a_col in pts_sets[0]:
             key = (a_col, g_col)
             if key not in d0 or instance.c[j] < d0[key][0]:
@@ -724,7 +596,7 @@ def _unbounded_dp_generic(instance, b_target, g_target, rho, params):
                 b = tuple(x + y for x, y in zip(b1, b2))
                 if b not in pts_sets[i]:
                     continue
-                g = _res_add(g1, g2, diag)
+                g = grp.add(g1, g2)
                 v = v1 + v2
                 key = (b, g)
                 if key not in cur or v < cur[key][0]:
@@ -750,7 +622,7 @@ def _unbounded_dp_generic(instance, b_target, g_target, rho, params):
             return x
         for (b1, g1), (v1, _) in sorted(levels[i - 1].items()):
             b2 = tuple(x - y for x, y in zip(b, b1))
-            g2 = _res_sub(g, g1, diag)
+            g2 = grp.sub(g, g1)
             rest = levels[i - 1].get((b2, g2))
             if rest is not None and v1 + rest[0] == val:
                 x1 = rec(i - 1, b1, g1)
@@ -768,16 +640,12 @@ def _unbounded_dp_dense(instance, b_target, g_target, rho, params):
     import numpy as np
 
     n = instance.n
-    diag = _sdiag(instance)
-    residues = _residue_list(instance)
+    grp = instance.group
+    residues = grp.elements()
     r_count = len(residues)
     r_index = {r: i for i, r in enumerate(residues)}
-    radd = [
-        [r_index[_res_add(a, b, diag)] for b in residues] for a in residues
-    ]
-    rsub = [
-        [r_index[_res_sub(a, b, diag)] for b in residues] for a in residues
-    ]
+    radd = [[r_index[grp.add(a, b)] for b in residues] for a in residues]
+    rsub = [[r_index[grp.sub(a, b)] for b in residues] for a in residues]
     b_mat = instance.A.submatrix([0], list(params.base))
     binv_b = inverse_times(b_mat, list(b_target))
 
@@ -790,13 +658,11 @@ def _unbounded_dp_dense(instance, b_target, g_target, rho, params):
         lo.append(pts[0][0])
         arrays.append(np.full((len(pts), r_count), big, dtype=np.int64))
 
-    zero_g = (0,) * len(diag)
     a0 = arrays[0]
     if lo[0] <= 0 <= lo[0] + a0.shape[0] - 1:
-        a0[-lo[0], r_index[zero_g]] = 0
+        a0[-lo[0], r_index[grp.zero]] = 0
     col_of: dict = {}
-    for j in range(n):
-        a_col, g_col = _column_steps(instance, j)
+    for j, (a_col, g_col) in enumerate(_steps(instance)):
         y = a_col[0]
         if lo[0] <= y <= lo[0] + a0.shape[0] - 1:
             ri = r_index[g_col]
@@ -880,7 +746,7 @@ def _unbounded_dp_dense(instance, b_target, g_target, rho, params):
             if (y, ri) in col_of:
                 x[col_of[(y, ri)]] = 1
             else:
-                assert y == 0 and ri == r_index[zero_g] and v == 0
+                assert y == 0 and ri == r_index[grp.zero] and v == 0
             memo[key] = x
             return x
         found = split(i, y, ri, v)
@@ -910,6 +776,8 @@ def solve_ilp_sf_unbounded(
     recentering); dense forces or forbids the numpy-dense m = 1 code path,
     which by default runs only when max(c) * 2^rho < 2^60, so that its
     int64 tables cannot overflow; otherwise the Python-int generic path runs.
+    Raises CertificateError when the witness fails its feasibility or
+    objective re-check.
     """
     if any(is_finite(v) for v in instance.u):
         raise ValueError("unbounded solver requires all upper bounds +inf")
@@ -939,18 +807,7 @@ def solve_ilp_sf_unbounded(
     if rho is None:
         rho = _doubling_rho(max(l1_bound, 2))
 
-    diag = _sdiag(instance)
-    b_target = tuple(
-        bi - vi for bi, vi in zip(instance.b, instance.A.matvec(shift))
-    )
-    g_target = (
-        tuple(
-            (gi - vi) % d
-            for gi, vi, d in zip(instance.g, instance.G.matvec(shift), diag)
-        )
-        if instance.G is not None
-        else ()
-    )
+    b_target, g_target = _target(instance, shift)
     params = mu_params(instance.A)
     # A level-i value costs at most 2^i columns, so every finite value of
     # the dense int64 tables, and every sum of two level-(i-1) values, is
@@ -969,11 +826,11 @@ def solve_ilp_sf_unbounded(
             certificate={"rho": rho, "mu": params.mu}
         )
     x = [a + b for a, b in zip(xprime, shift)]
-    assert is_feasible(instance, x), "DP produced an infeasible witness"
+    if not is_feasible(instance, x):
+        raise CertificateError("DP produced an infeasible witness")
     total = objective_value(instance, x)
-    assert total == value + sum(
-        ci * si for ci, si in zip(instance.c, shift)
-    )
+    if total != value + sum(ci * si for ci, si in zip(instance.c, shift)):
+        raise CertificateError("witness cost differs from the DP value")
     return SolveOutcome.optimal(
         x, total, certificate={"rho": rho, "mu": params.mu}
     )

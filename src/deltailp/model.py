@@ -17,8 +17,10 @@ sentinel numerics.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -78,6 +80,10 @@ def is_finite(v: ExtInt) -> bool:
     return not isinstance(v, _Infinity)
 
 
+class CertificateError(RuntimeError):
+    """A solver's answer failed its explicit re-check."""
+
+
 @dataclass(frozen=True)
 class CanonicalInstance:
     """max c'x  s.t.  b_l <= A x <= b_r,  x integer."""
@@ -132,6 +138,36 @@ class StandardInstance:
     def bounded(self) -> bool:
         return all(is_finite(v) for v in self.u)
 
+    @cached_property
+    def _group_rows(self) -> tuple[int, ...]:
+        # a row with modulus 1 constrains nothing; the divisibility chain
+        # puts the others last
+        if self.S is None:
+            return ()
+        return tuple(i for i in range(self.S.rows) if self.S.entries[i][i] > 1)
+
+    @cached_property
+    def group(self) -> GroupSpec:
+        """Group of the residues G x mod S: the factors of S with modulus > 1."""
+        return GroupSpec(tuple(self.S.entries[i][i] for i in self._group_rows))
+
+    @cached_property
+    def group_target(self) -> tuple[int, ...]:
+        """g reduced into group."""
+        return self.group.reduce([self.g[i] for i in self._group_rows])
+
+    @cached_property
+    def group_columns(self) -> tuple[tuple[int, ...], ...]:
+        """residue(e_k) for each column k, read off G's columns."""
+        rows = [self.G.row(i) for i in self._group_rows]
+        return tuple(self.group.reduce([r[k] for r in rows]) for k in range(self.n))
+
+    def residue(self, x: Sequence[int]) -> tuple[int, ...]:
+        """G x reduced into group."""
+        return self.group.reduce(
+            [sum(a * v for a, v in zip(self.G.row(i), x)) for i in self._group_rows]
+        )
+
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -150,8 +186,15 @@ class GroupSpec:
     def add(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         return tuple((x + y) % d for x, y, d in zip(a, b, self.moduli))
 
+    def sub(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+        return tuple((x - y) % d for x, y, d in zip(a, b, self.moduli))
+
     def scale(self, k: int, a: Sequence[int]) -> tuple[int, ...]:
         return tuple((k * x) % d for x, d in zip(a, self.moduli))
+
+    def elements(self) -> list[tuple[int, ...]]:
+        """Every element, in lexicographic (product) order."""
+        return list(itertools.product(*(range(d) for d in self.moduli)))
 
     def encode(self, elem: Sequence[int]) -> int:
         """Mixed-radix integer encoding of a reduced element."""

@@ -5,6 +5,7 @@ import pytest
 import deltailp.cli as cli_mod
 from deltailp.cli import (
     EXIT_CAP,
+    EXIT_FAIL,
     EXIT_INFEASIBLE,
     EXIT_INPUT,
     bench_knapsack_delta,
@@ -12,7 +13,7 @@ from deltailp.cli import (
 )
 from deltailp.intlinalg import IntMat
 from deltailp.io import parse_instance, serialize_instance
-from deltailp.model import POS_INF, StandardInstance, validate
+from deltailp.model import POS_INF, CertificateError, StandardInstance, validate
 
 
 def run(capsys, *argv):
@@ -134,6 +135,19 @@ class TestSolve:
         assert kv(captured.out)["error"] == "recursion-limit"
         assert "Traceback" not in captured.out + captured.err
 
+    def test_certificate_error_exit_code(self, capsys, monkeypatch, cf_file):
+        def rejected(*args, **kwargs):
+            raise CertificateError("DP produced an infeasible witness")
+
+        monkeypatch.setattr(cli_mod, "solve_bilp_sf", rejected)
+        code = main(["solve", cf_file])
+        captured = capsys.readouterr()
+        assert code == EXIT_FAIL
+        pairs = kv(captured.out)
+        assert pairs["error"] == "certificate"
+        assert pairs["error.detail"] == "DP produced an infeasible witness"
+        assert "Traceback" not in captured.out + captured.err
+
     def test_deterministic_output(self, capsys, cf_file):
         _, a = run(capsys, "solve", cf_file, "--seed", "9")
         _, b = run(capsys, "solve", cf_file, "--seed", "9")
@@ -197,3 +211,10 @@ class TestBench:
         res = bench_knapsack_delta(n=6, deltas=(4, 8), repeats=2, seed=1)
         assert set(res["median_seconds"]) == {4, 8}
         assert res["ratio"] > 0
+
+    def test_bench_deltas_option(self, capsys):
+        code, out = run(capsys, "bench", "--n", "6", "--repeats", "1", "--deltas", "4", "8")
+        pairs = kv(out)
+        assert code == 0
+        assert "median_seconds.delta_4" in pairs and "median_seconds.delta_8" in pairs
+        assert "median_seconds.delta_50" not in pairs

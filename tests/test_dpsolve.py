@@ -1,11 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from deltailp import dpsolve
 from deltailp.dpsolve import (
-    SlidingWindowQueue,
     _default_chi,
     binary_decomposition,
     detect_unbounded,
@@ -85,20 +89,6 @@ def random_sf(rng, n, m):
     return sf(n, m, a_rows, g_rows, s_diag, b, g, u, c)
 
 
-class TestQueue:
-    def test_min_queue(self):
-        q = SlidingWindowQueue()
-        for v in [5, 3, 7, None, 1]:
-            q.enqueue(v)
-        assert q.get_extremum() == 1
-        assert q.dequeue() == 5
-        assert q.dequeue() == 3
-        assert q.get_extremum() == 1
-        assert q.dequeue() == 7
-        assert q.dequeue() is None
-        assert q.get_extremum() == 1
-
-
 class TestSlidingMin:
     def test_cycle_capacity_zero(self):
         vals = [3, None, 1]
@@ -149,9 +139,12 @@ class TestSlidingMin:
         return out
 
     def test_random_against_naive(self):
+        # lengths up to 40 against small windows make the deque pop from
+        # the back and expire from the front; upper < 0 runs the padded
+        # tail of the t < 0 pass
         rng = random.Random(7)
-        for _ in range(120):
-            l = rng.randint(1, 8)
+        for _ in range(600):
+            l = rng.randint(1, 40)
             pairs = rng.random() < 0.5
             vals = [
                 None
@@ -161,13 +154,13 @@ class TestSlidingMin:
             ]
             cost = rng.randint(0, 4)
             if rng.random() < 0.5:
-                cap = rng.randint(0, 2 * l)
+                cap = rng.randint(0, 2 * l if rng.random() < 0.5 else 3)
                 assert sliding_min_cycle(vals, cost, cap) == self.naive(
                     vals, cost, 0, min(cap, l - 1), True
                 )
             else:
-                lo = rng.randint(-l, 2)
-                hi = rng.randint(lo, l + 2)
+                lo = rng.randint(-l - 2, 2)
+                hi = rng.randint(lo, lo + 6 if rng.random() < 0.5 else l + 2)
                 assert sliding_min_path(vals, cost, lo, hi) == self.naive(
                     vals, cost, lo, hi, False
                 )
@@ -489,3 +482,51 @@ class TestUnboundedPaths:
         assert auto.value == generic.value
         assert auto.x == generic.x
         assert auto.value == objective_value(inst, auto.x)
+
+
+class TestCertificates:
+    # The witness and objective re-checks are explicit checks, so they must
+    # still refuse a rejected witness when python -O strips asserts.
+    SCRIPT = textwrap.dedent(
+        """
+        import sys
+        from deltailp import dpsolve
+        from deltailp.intlinalg import IntMat
+        from deltailp.model import POS_INF, CertificateError, StandardInstance
+
+        def knapsack(u):
+            return StandardInstance(
+                n=2, m=1, A=IntMat.from_rows([[2, 3]]), G=IntMat.from_rows([[1, 1]]),
+                S=IntMat.from_rows([[1]]), b=(12,), g=(0,), u=u, c=(1, 1),
+            )
+
+        def refused(solve, inst):
+            try:
+                out = solve(inst)
+            except CertificateError as exc:
+                return str(exc)
+            return f"accepted: {out.status}"
+
+        dpsolve.is_feasible = lambda inst, x: False
+        print(refused(dpsolve.solve_bilp_sf, knapsack((6, 4))))
+        print(refused(dpsolve.solve_ilp_sf_unbounded, knapsack((POS_INF, POS_INF))))
+        dpsolve.is_feasible = lambda inst, x: True
+        dpsolve.objective_value = lambda inst, x: -1
+        print(refused(dpsolve.solve_ilp_sf_unbounded, knapsack((POS_INF, POS_INF))))
+        print("optimize", sys.flags.optimize)
+        """
+    )
+
+    def test_rejected_witness_raises_under_optimize(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", self.SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert run.stdout.splitlines() == [
+            "DP produced an infeasible witness",
+            "DP produced an infeasible witness",
+            "witness cost differs from the DP value",
+            "optimize 1",
+        ]

@@ -70,6 +70,47 @@ class TestValidate:
         assert validate(inst) == []
 
 
+class TestGroupView:
+    def test_unit_factors_dropped(self):
+        # S = diag(1, 2, 6): the Z_1 row constrains nothing
+        inst = make_standard(
+            [], [[1, 0, 0], [1, 1, 0], [0, 1, 1]], [[1, 0, 0], [0, 2, 0], [0, 0, 6]],
+            [], [0, 1, 5], [POS_INF] * 3, [1, 1, 1],
+        )
+        assert validate(inst) == []
+        assert inst.group.moduli == (2, 6)
+        elems = inst.group.elements()
+        assert len(elems) == 12
+        assert elems[:3] == [(0, 0), (0, 1), (0, 2)] and elems[-1] == (1, 5)
+        assert inst.group_target == (1, 5)
+        assert inst.group_columns == ((1, 0), (1, 1), (0, 1))
+        assert inst.residue((1, 2, 3)) == (1, 5)
+        assert inst.residue((0, 0, 7)) == (0, 1)
+        assert inst.group.sub((0, 1), (1, 5)) == (1, 2)
+
+    def test_no_group_rows(self):
+        inst = make_standard(
+            [[1, 0], [1, 1]], [], [], [2, 3], [], [4, 4], [1, 1]
+        )
+        assert inst.S is None
+        assert inst.group.moduli == ()
+        assert inst.group.elements() == [()]
+        assert inst.group_columns == ((), ())
+        assert inst.group_target == () and inst.residue((2, 1)) == ()
+
+    def test_classic_knapsack_has_trivial_group(self):
+        from deltailp.reductions import classic_to_generalized
+
+        inst, _ = classic_to_generalized(
+            IntMat.from_rows([[3, 5, 7, 2]]), (10,), (1, 2, 3, 4), (1, 1, 1, 1)
+        )
+        assert inst.S.rows == 3
+        assert inst.group.moduli == ()
+        assert inst.group.elements() == [()]
+        assert inst.group_columns == ((),) * 4
+        assert inst.residue((1, 0, 1, 0)) == ()
+
+
 class TestNormalize:
     def vertex(self, inst, base):
         a_base = inst.A.take_rows(base)
