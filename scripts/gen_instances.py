@@ -4,7 +4,7 @@
 import argparse
 import pathlib
 
-from deltailp.cli import _gen_cf, _gen_group, _gen_sf
+from deltailp.generators import generate
 from deltailp.io import serialize_instance
 from deltailp.rng import stream
 
@@ -23,12 +23,7 @@ def main() -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
         rnd = stream(args.seed, f"batch:{args.kind}:{i}")
-        if args.kind == "cf":
-            inst = _gen_cf(rnd, args.n, args.m, args.delta_max)
-        elif args.kind == "sf":
-            inst = _gen_sf(rnd, args.n, max(1, args.m), args.delta_max)
-        else:
-            inst = _gen_group(rnd, args.n, args.delta_max)
+        inst = generate(args.kind, rnd, args.n, args.m, args.delta_max)
         path = outdir / f"{args.kind}-{i:04d}.json"
         path.write_text(serialize_instance(inst) + "\n")
         print(path)

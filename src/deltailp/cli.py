@@ -18,17 +18,14 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from .dpsolve import solve_bilp_sf, solve_ilp_sf_unbounded
+from .generators import generate
 from .groupmin import cyclic_minplus_solve, gomory_solve, vertex_certificate
-from .intlinalg import IntMat, det, minor_stats, rank
+from .intlinalg import IntMat, minor_stats, rank
 from .io import FormatError, load_instance, serialize_instance
 from .lp import solve_lp
 from .model import (
-    NEG_INF,
-    POS_INF,
     CanonicalInstance,
     CertificateError,
-    GroupInstance,
-    GroupSpec,
     SolveOutcome,
     StandardInstance,
     is_finite,
@@ -134,7 +131,8 @@ def _solve_cf_via_reduction(inst: CanonicalInstance, variant: str) -> SolveOutco
         return out
     x = rmap.backward(out.x)
     value = (Fraction(out.value) - rmap.objective_offset) / rmap.objective_scale
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise CertificateError("the reduction maps the optimum to a non-integral value")
     cert = dict(out.certificate or {})
     cert["reduction"] = "cf2sf"
     return SolveOutcome(status="optimal", x=x, value=int(value), certificate=cert)
@@ -364,60 +362,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_FAIL
 
 
-def _gen_cf(rnd, n, m, delta_max):
-    while True:
-        a = IntMat.from_rows(
-            [[rnd.randint(-3, 3) for _ in range(n)] for _ in range(n + m)]
-        )
-        if rank(a) != n:
-            continue
-        if minor_stats(a).delta > delta_max:
-            continue
-        x0 = [rnd.randint(-2, 2) for _ in range(n)]
-        ax0 = a.matvec(x0)
-        b_l = tuple(v - rnd.randint(0, 4) for v in ax0)
-        b_r = tuple(v + rnd.randint(0, 4) for v in ax0)
-        c = tuple(rnd.randint(-3, 3) for _ in range(n))
-        return CanonicalInstance(A=a, b_l=b_l, b_r=b_r, c=c)
-
-
-def _gen_sf(rnd, n, m, delta_max):
-    while True:
-        a = IntMat.from_rows(
-            [[rnd.randint(-2, 2) for _ in range(n)] for _ in range(m)]
-        )
-        if rank(a) != m or minor_stats(a).delta > delta_max:
-            continue
-        x0 = [rnd.randint(0, 2) for _ in range(n)]
-        b = tuple(a.matvec(x0))
-        u = tuple(x + rnd.randint(1, 3) for x in x0)
-        c = tuple(rnd.randint(0, 4) for _ in range(n))
-        try:
-            dst, _ = classic_to_generalized(a, b, c, u)
-        except IntegralInfeasible:
-            continue
-        return dst
-
-
-def _gen_group(rnd, n, delta_max):
-    order = rnd.randint(2, max(2, delta_max))
-    return GroupInstance(
-        group=GroupSpec((order,)),
-        generators=tuple((rnd.randrange(order),) for _ in range(n)),
-        target=(rnd.randrange(order),),
-        costs=tuple(rnd.randint(0, 6) for _ in range(n)),
-        bounds=(POS_INF,) * n,
-    )
-
-
 def cmd_gen(args) -> int:
     rnd = stream(args.seed, f"gen:{args.kind}:{args.n}:{args.m}:{args.delta_max}")
-    if args.kind == "cf":
-        inst = _gen_cf(rnd, args.n, args.m, args.delta_max)
-    elif args.kind == "sf":
-        inst = _gen_sf(rnd, args.n, max(1, args.m), args.delta_max)
-    else:
-        inst = _gen_group(rnd, args.n, args.delta_max)
+    inst = generate(args.kind, rnd, args.n, args.m, args.delta_max)
     issues = validate(inst)
     assert not issues, issues
     print(serialize_instance(inst))

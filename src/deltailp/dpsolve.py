@@ -39,6 +39,7 @@ from fractions import Fraction
 
 from .intlinalg import (
     IntMat,
+    ParallelepipedLattice,
     enumerate_parallelepiped,
     inverse_times,
     max_det_submatrix,
@@ -213,7 +214,8 @@ def _recenter(instance: StandardInstance, chi: int, steps: list):
     lp = solve_lp(instance)
     if lp.status == "infeasible":
         return None
-    assert lp.status == "optimal"
+    if lp.status != "optimal":
+        raise CertificateError("LP relaxation over finite bounds reported unbounded")
     zero_cols = []
     shift = []
     for k in range(n):
@@ -560,9 +562,9 @@ def _doubling_rho(l1_bound: int) -> int:
     return rho
 
 
-def _level_points(b_mat, binv_b, i, rho, radius):
+def _level_points(lattice, binv_b, i, rho, radius):
     center = [Fraction(2**i, 2**rho) * f for f in binv_b]
-    return enumerate_parallelepiped(b_mat, center, radius)
+    return lattice.points(center, radius)
 
 
 def _unbounded_dp_generic(instance, b_target, g_target, rho, params):
@@ -571,10 +573,11 @@ def _unbounded_dp_generic(instance, b_target, g_target, rho, params):
     grp = instance.group
     b_mat = instance.A.submatrix(list(range(m)), list(params.base))
     binv_b = inverse_times(b_mat, list(b_target))
+    lattice = ParallelepipedLattice(b_mat)
     levels: list[dict] = []
     pts_sets = []
     for i in range(rho + 1):
-        pts_sets.append(set(_level_points(b_mat, binv_b, i, rho, params.radius)))
+        pts_sets.append(set(_level_points(lattice, binv_b, i, rho, params.radius)))
 
     zero_b = (0,) * m
     d0: dict = {}
@@ -648,12 +651,13 @@ def _unbounded_dp_dense(instance, b_target, g_target, rho, params):
     rsub = [[r_index[grp.sub(a, b)] for b in residues] for a in residues]
     b_mat = instance.A.submatrix([0], list(params.base))
     binv_b = inverse_times(b_mat, list(b_target))
+    lattice = ParallelepipedLattice(b_mat)
 
     big = _DENSE_BIG
     lo: list[int] = []
     arrays: list = []
     for i in range(rho + 1):
-        pts = _level_points(b_mat, binv_b, i, rho, params.radius)
+        pts = _level_points(lattice, binv_b, i, rho, params.radius)
         assert pts[-1][0] - pts[0][0] == len(pts) - 1, "window not contiguous"
         lo.append(pts[0][0])
         arrays.append(np.full((len(pts), r_count), big, dtype=np.int64))
@@ -794,7 +798,8 @@ def solve_ilp_sf_unbounded(
     lp = solve_lp(instance)
     if lp.status == "infeasible":
         return SolveOutcome.infeasible(certificate={"stage": "lp"})
-    assert lp.status == "optimal"  # c >= 0 bounds the relaxation below
+    if lp.status != "optimal":
+        raise CertificateError("LP relaxation with c >= 0 reported unbounded")
 
     delta = minor_stats(instance.A).delta
     chi = (m + 1) * (n - m + 1 + m) * delta * abs(instance.det_s)

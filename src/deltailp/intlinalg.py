@@ -408,6 +408,76 @@ def delta_gcd(A: IntMat) -> int:
     return minor_stats(A, r).delta_gcd
 
 
+class ParallelepipedLattice:
+    """The superlattice A^{-1} Z^n modulo Z^n of a nonsingular square A,
+    decomposed once (det, Smith form, adjugate) for any number of
+    :meth:`points` enumerations with the same A.
+
+    Each residue is kept as the numerator of t = Q^{-1} S^{-1} r over the
+    largest invariant factor, with its image y0 = A t in Z^n.
+    """
+
+    def __init__(self, A: IntMat) -> None:
+        n = A.cols
+        if A.rows != n:
+            raise DimensionError("square matrix required")
+        if det(A) == 0:
+            raise RankError("singular matrix")
+        self.A = A
+        decomp = snf(A)
+        s_diag = [decomp.S.entries[i][i] for i in range(n)]
+        q_inv = adjugate(decomp.Q).scale(det(decomp.Q))  # exact inverse, det = +-1
+        a = A.entries
+        # Smith divisibility: every s_i divides s_n, so t = T / s_n with T integral
+        self.top = top = s_diag[-1]
+        self.residues: list[tuple[list[int], tuple[int, ...]]] = []
+        for r in itertools.product(*(range(si) for si in s_diag)):
+            sr = [ri * (top // si) for ri, si in zip(r, s_diag)]
+            t_num = [
+                sum(q_inv.entries[i][j] * sr[j] for j in range(n)) for i in range(n)
+            ]
+            y0 = []
+            for i in range(n):
+                v, rem = divmod(sum(a[i][j] * t_num[j] for j in range(n)), top)
+                if rem:
+                    raise ArithmeticError("residue point does not map to Z^n")
+                y0.append(v)
+            self.residues.append((t_num, tuple(y0)))
+
+    def points(
+        self, p: Sequence[Fraction | int], gamma: Fraction | int
+    ) -> list[tuple[int, ...]]:
+        """All integer y with A^{-1} y in the box ||x - p||_inf <= gamma,
+        lexicographically sorted."""
+        n = self.A.cols
+        if len(p) != n:
+            raise DimensionError("center has wrong length")
+        gamma = Fraction(gamma)
+        if gamma < 0:
+            raise DimensionError("radius must be nonnegative")
+        p = [Fraction(v) for v in p]
+        cols = list(zip(*self.A.entries))
+        out: list[tuple[int, ...]] = []
+        for t_num, y0 in self.residues:
+            # y = y0 + A u for the integer shifts u that keep t + u in the box
+            pts = [y0]
+            for j, col in enumerate(cols):
+                t = Fraction(t_num[j], self.top)
+                lo = math.ceil(p[j] - gamma - t)
+                hi = math.floor(p[j] + gamma - t)
+                start = tuple(lo * v for v in col)
+                nxt = []
+                for y in pts:
+                    y = tuple(map(operator.add, y, start))
+                    for _ in range(lo, hi + 1):
+                        nxt.append(y)
+                        y = tuple(map(operator.add, y, col))
+                pts = nxt
+            out.extend(pts)
+        out.sort()
+        return out
+
+
 def enumerate_parallelepiped(
     A: IntMat, p: Sequence[Fraction | int], gamma: Fraction | int
 ) -> list[tuple[int, ...]]:
@@ -416,57 +486,10 @@ def enumerate_parallelepiped(
     Enumerates the residues of the superlattice A^{-1} Z^n modulo Z^n via
     the Smith form of A, then shifts each residue by the integer vectors
     that land in the box.  Output is lexicographically sorted; its size is
-    at most (2*gamma + 1)^n * |det A|.
+    at most (2*gamma + 1)^n * |det A|.  For many boxes with the same A,
+    build one :class:`ParallelepipedLattice` and call its ``points``.
     """
-    n = A.cols
-    if A.rows != n:
-        raise DimensionError("square matrix required")
-    d = det(A)
-    if d == 0:
-        raise RankError("singular matrix")
-    if len(p) != n:
-        raise DimensionError("center has wrong length")
-    gamma = Fraction(gamma)
-    if gamma < 0:
-        raise DimensionError("radius must be nonnegative")
-    decomp = snf(A)
-    s_diag = [decomp.S.entries[i][i] for i in range(n)]
-    q_inv = adjugate(decomp.Q).scale(det(decomp.Q))  # exact inverse, det = +-1
-    p = [Fraction(v) for v in p]
-    a = A.entries
-    cols = list(zip(*a))
-    # Smith divisibility: every s_i divides s_n, so t = T / s_n with T integral
-    top = s_diag[-1]
-    out: list[tuple[int, ...]] = []
-    for r in itertools.product(*(range(si) for si in s_diag)):
-        # residue point t = Q^{-1} S^{-1} r of the superlattice modulo Z^n
-        sr = [ri * (top // si) for ri, si in zip(r, s_diag)]
-        t_num = [
-            sum(q_inv.entries[i][j] * sr[j] for j in range(n)) for i in range(n)
-        ]
-        y0 = []
-        for i in range(n):
-            v, rem = divmod(sum(a[i][j] * t_num[j] for j in range(n)), top)
-            if rem:
-                raise ArithmeticError("residue point does not map to Z^n")
-            y0.append(v)
-        # y = y0 + A u for the integer shifts u that keep t + u in the box
-        pts = [tuple(y0)]
-        for j, col in enumerate(cols):
-            t = Fraction(t_num[j], top)
-            lo = math.ceil(p[j] - gamma - t)
-            hi = math.floor(p[j] + gamma - t)
-            start = tuple(lo * v for v in col)
-            nxt = []
-            for y in pts:
-                y = tuple(map(operator.add, y, start))
-                for _ in range(lo, hi + 1):
-                    nxt.append(y)
-                    y = tuple(map(operator.add, y, col))
-            pts = nxt
-        out.extend(pts)
-    out.sort()
-    return out
+    return ParallelepipedLattice(A).points(p, gamma)
 
 
 def _greedy_base(A: IntMat) -> list[int]:

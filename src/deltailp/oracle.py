@@ -8,6 +8,8 @@ accidental blowups.
 Enumeration is vectorized with 64-bit integer arrays when an a priori bound
 shows that no intermediate value can overflow; otherwise a pure-Python path
 with arbitrary precision is used, so the outcome is exact either way.
+Hull membership is decided by the module's own dense two-phase Fraction
+simplex, so the oracle shares no LP code with the solvers it checks.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .intlinalg import IntMat
-from .lp import solve_ineq_lp
 from .model import (
     CanonicalInstance,
     GroupInstance,
@@ -148,6 +149,109 @@ def brute_force_ilp(instance, box: Box) -> SolveOutcome:
     return SolveOutcome.optimal(best, best_val)
 
 
+def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
+    piv = tab[row][col]
+    tab[row] = [v / piv for v in tab[row]]
+    for i, r in enumerate(tab):
+        if i != row and r[col] != 0:
+            f = r[col]
+            tab[i] = [a - f * b for a, b in zip(r, tab[row])]
+    basis[row] = col
+
+
+def _run_simplex(
+    tab: list[list[Fraction]], basis: list[int], ncols: int, allowed: int
+) -> str:
+    """Maximize the objective in the last tableau row over columns
+    0..allowed-1; returns 'optimal' or 'unbounded'."""
+    obj = len(tab) - 1
+    while True:
+        col = next(
+            (j for j in range(allowed) if tab[obj][j] > 0), None
+        )  # Bland: smallest improving index
+        if col is None:
+            return "optimal"
+        best = None
+        for i in range(obj):
+            if tab[i][col] > 0:
+                ratio = tab[i][ncols] / tab[i][col]
+                if best is None or ratio < best[0] or (
+                    ratio == best[0] and basis[i] < basis[best[1]]
+                ):
+                    best = (ratio, i)
+        if best is None:
+            return "unbounded"
+        _pivot(tab, basis, best[1], col)
+
+
+def _dense_ineq_lp(
+    c: Sequence[Fraction], D: Sequence[Sequence[Fraction]], d: Sequence[Fraction]
+) -> tuple[str, Fraction | None]:
+    """max c'y  s.t.  D y <= d,  y >= 0, exactly: (status, optimal value).
+
+    A dense two-phase Fraction tableau with one slack and one artificial
+    per row, independent of the solver's LP engine in ``deltailp.lp``.
+    """
+    m = len(D)
+    n = len(c)
+    # equality system [D I] (x, s) = d with artificial variables where the
+    # right side is negative after slack insertion
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    for i in range(m):
+        row = [Fraction(v) for v in D[i]] + [
+            Fraction(1) if j == i else Fraction(0) for j in range(m)
+        ]
+        r = Fraction(d[i])
+        if r < 0:
+            row = [-v for v in row]
+            r = -r
+        rows.append(row)
+        rhs.append(r)
+    total = n + m
+    # phase 1: artificial variable per row
+    tab = []
+    for i in range(m):
+        tab.append(
+            rows[i]
+            + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
+            + [rhs[i]]
+        )
+    basis = [total + i for i in range(m)]
+    ncols = total + m
+    # phase-1 objective: maximize -sum(artificials) expressed in non-basic terms
+    objrow = [Fraction(0)] * (ncols + 1)
+    for i in range(m):
+        for j in range(ncols + 1):
+            objrow[j] += tab[i][j]
+    for i in range(m):
+        objrow[total + i] = Fraction(0)
+    tab.append(objrow)
+    _run_simplex(tab, basis, ncols, allowed=total)
+    if tab[-1][ncols] != 0:
+        return "infeasible", None
+    # drive remaining artificials out of the basis
+    for i in range(m):
+        if basis[i] >= total:
+            col = next((j for j in range(total) if tab[i][j] != 0), None)
+            if col is not None:
+                _pivot(tab, basis, i, col)
+    # phase 2
+    obj = [Fraction(v) for v in c] + [Fraction(0)] * (m + m) + [Fraction(0)]
+    for i in range(m):
+        if basis[i] < total and obj[basis[i]] != 0:
+            f = obj[basis[i]]
+            obj = [a - f * b for a, b in zip(obj, tab[i])]
+    tab[-1] = obj
+    if _run_simplex(tab, basis, ncols, allowed=total) == "unbounded":
+        return "unbounded", None
+    y = [Fraction(0)] * total
+    for i in range(m):
+        if basis[i] < total:
+            y[basis[i]] = tab[i][ncols]
+    return "optimal", sum(Fraction(ci) * yi for ci, yi in zip(c, y[:n]))
+
+
 def _is_convex_combination(
     p: tuple[int, ...], others: list[tuple[int, ...]], up_closure: bool = False
 ) -> bool:
@@ -175,8 +279,7 @@ def _is_convex_combination(
     d.append(Fraction(1))
     D.append([-v for v in ones])
     d.append(Fraction(-1))
-    out = solve_ineq_lp([Fraction(0)] * nvars, D, d)
-    return out.status == "optimal"
+    return _dense_ineq_lp([Fraction(0)] * nvars, D, d)[0] == "optimal"
 
 
 def hull_vertices(instance: CanonicalInstance, box: Box) -> list[tuple[int, ...]]:
