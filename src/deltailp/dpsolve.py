@@ -5,12 +5,12 @@
   (layer, residual right side, group residue) finds the exact optimum.
   Residues live in ``StandardInstance.group``, the factors of S with
   modulus > 1; a Z_1 factor constrains nothing and is not carried.
-  Two equivalent variants: "queue" processes each layer along the
-  path/cycle decomposition of the layer graph with sliding-window minima
-  (:func:`sliding_min_path` / :func:`sliding_min_cycle`, one monotone
-  deque each); "binarized" explores states lazily and compresses each
-  per-variable window into O(log) 0/1 arcs via
-  :func:`binary_decomposition`.  Both share one backward witness walk.
+  Two equivalent variants on one dense layer table: "queue" takes window
+  minima along the path/cycle decomposition of each layer graph
+  (:func:`sliding_min_path` / :func:`sliding_min_cycle` are list adapters
+  over the same kernel); "binarized" compresses each per-variable window
+  into O(log) 0/1 arcs via :func:`binary_decomposition`.  Both share one
+  backward witness walk.
 - :func:`solve_ilp_sf_unbounded` — unbounded instances with c >= 0.  A
   doubling DP over discrepancy-sized state windows combines two half
   solutions per level; level i covers solutions with l1 norm up to
@@ -28,25 +28,40 @@ variant, so witnesses are deterministic; the binarized variant tracks
 costs only (both variants return equal objective values).  Every witness
 is re-checked with :func:`~deltailp.model.is_feasible`; a failed re-check
 raises :class:`~deltailp.model.CertificateError`, also under ``python -O``.
+
+Bounded DP encoding.  The states are s = p * R + r: p indexes the P points
+of one ``ParallelepipedLattice.points`` call (the residual right sides
+within radius H of the max-det column base) and r is the residue code of
+``GroupSpec.encode`` (R = group order).  A layer is one flat numpy array
+over the states plus a sentinel slot, and the table holds all n + 1
+layers; more than ``_DP_CELLS`` cells raise
+:class:`~deltailp.model.CapExceeded` before anything is allocated.  A
+queue value is packed as cost * K + l1 with K = 2^ceil(log2(n*H + 1)):
+l1 <= n * H < K, so integer order is lexicographic order and packed sums
+are sums of pairs; binarized values are costs (K = 1).  Every reachable
+value satisfies |v| <= (sum |c_k| * H + 1) * K, and a window key shifts it
+by at most max(P, R) * (max |c_k| * K + 1); when twice that plus the
+value bound stays below 2^61 the table is int64, with sentinel 2^62 and
+anything >= 2^61 read as unreachable (see :func:`_value_range`).
+Otherwise the same code runs on dtype object, exact Python ints.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .intlinalg import (
     IntMat,
     ParallelepipedLattice,
-    enumerate_parallelepiped,
     inverse_times,
     max_det_submatrix,
     minor_stats,
 )
 from .lp import solve_lp
 from .model import (
+    CapExceeded,
     CertificateError,
     GroupInstance,
     POS_INF,
@@ -59,6 +74,11 @@ from .model import (
 
 _DENSE_BIG = 1 << 60  # unreachable entry of the int64 doubling tables
 _PAD_CELLS = 1 << 16  # block budget of the dense doubling step, in entries
+# Cap on the bounded DP's layer table, P lattice points x R residues x
+# (n + 1) layers, in int64 cells (64 MiB); a Python-int cell counts
+# _OBJECT_CELL times.  Above it solve_bilp_sf raises CapExceeded, exit 5.
+_DP_CELLS = 1 << 23
+_OBJECT_CELL = 8
 
 
 @dataclass(frozen=True)
@@ -76,15 +96,6 @@ class MuParams:
         return 4 * self.mu
 
 
-def _min2(a, b):
-    """None-aware minimum (None acts as +infinity)."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a <= b else b
-
-
 def _combine(v, cost_shift, l1_shift):
     """Shift a DP value: tuples componentwise, plain numbers by cost only."""
     if v is None:
@@ -94,69 +105,175 @@ def _combine(v, cost_shift, l1_shift):
     return v + cost_shift
 
 
-def _window_min(keys: list, w: int) -> list:
-    """out[e] = min(keys[e - w + 1 .. e]) over the indices >= 0, None acting
-    as +infinity; a monotone deque (Lemire 2006), linear time."""
-    out: list = [None] * len(keys)
-    live: deque[int] = deque()  # indices of increasing keys, oldest first
-    for e, k in enumerate(keys):
-        if k is not None:
-            while live and keys[live[-1]] >= k:
-                live.pop()
-            live.append(e)
-        if live and live[0] <= e - w:  # at most one index leaves per step
-            live.popleft()
-        if live:
-            out[e] = keys[live[0]]
+def _value_range(top: int, reach: int):
+    """(lim, dtype) of a table of packed values; its sentinel is 2 * lim.
+
+    top bounds |v| for every reachable value v, and reach bounds
+    |offset * step| for every window key of :func:`_queue_step` and every
+    arc cost of :func:`_binarized_step`.  Keys then lie in
+    [-(top + reach), top + reach], sentinel keys at >= 2 * lim - reach, and
+    a result lands in [-top, top] when reachable and at >= 2 * lim -
+    2 * reach > lim otherwise.  When top + 2 * reach < 2^61, lim = 2^61 and
+    every number stays below 2^63, so int64 is exact; otherwise the same
+    code runs on Python ints (dtype object) with a larger lim.
+    """
+    import numpy as np
+
+    lim = 1 << max(61, (top + 2 * reach).bit_length())
+    return lim, (np.int64 if lim == 1 << 61 else object)
+
+
+def _block_min(keys, w: int, starts):
+    """min(keys[s : s + w]) for each s in starts; every window must lie
+    inside keys.
+
+    van Herk (1992) / Gil-Werman (1993): cut keys into blocks of w.  A
+    window spans at most two blocks, so its minimum is the suffix minimum
+    of its first block from s on with the prefix minimum of the next block
+    up to s + w - 1.  The tail copy that fills the last block never enters
+    a window.
+    """
+    import numpy as np
+
+    if w == 1:
+        return keys[starts]
+    nb = -(-len(keys) // w)
+    blocks = np.concatenate((keys, keys[: nb * w - len(keys)])).reshape(nb, w)
+    prefix = np.minimum.accumulate(blocks, axis=1).ravel()
+    suffix = np.minimum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.minimum(suffix[starts], prefix[starts + w - 1])
+
+
+def _layout(order, depth, longest: int, cyclic: bool, lower: int, upper: int):
+    """Lay chains out for the window kernels.
+
+    order lists the states chain by chain, depth their offsets along their
+    chain (0 at each head); a state at offset i reads offsets i - t for t
+    in [lower, upper], clipped here to the longest chain.  Each chain gets
+    max(upper, 0) slots ahead and max(-lower, 0) behind, so no window leaves
+    its chain: sentinel slots (src = -1) for paths, and for cycles, which
+    all have one length l and lower = 0, the last slots of the cycle again
+    at offsets shifted by -l.  Returns (src, off, at, dep, lower, upper):
+    src and off give the state and the offset of every slot, at and dep the
+    slot and the offset of every state.
+    """
+    import numpy as np
+
+    n = len(order)
+    lower, upper = max(lower, 1 - longest), min(upper, longest - 1)
+    ahead, behind = max(upper, 0), max(-lower, 0)
+    chain = np.cumsum(depth == 0) - 1
+    pos = np.arange(n) + chain * (ahead + behind) + ahead
+    src = np.full(n + (int(chain[-1]) + 1) * (ahead + behind), -1, dtype=np.int64)
+    off = np.zeros(len(src), dtype=np.int64)
+    src[pos], off[pos] = order, depth
+    if cyclic and ahead:
+        tail = depth >= longest - ahead
+        src[pos[tail] - longest] = order[tail]
+        off[pos[tail] - longest] = depth[tail] - longest
+    at, dep = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    at[order], dep[order] = pos, depth
+    return src, off, at, dep, lower, upper
+
+
+def _queue_step(prev, lay, cost: int, K: int, l1w: int, lim: int):
+    """One queue-DP layer: out[s] = min over t of prev[s - t steps] + t
+    arcs, an arc packed as cost * K + l1w for t >= 0 and cost * K - l1w
+    for t < 0 (l1w = 1 adds |t| to the l1 part, l1w = 0 packs costs only).
+
+    prev holds one value per state plus the sentinel 2 * lim at index -1.
+    Per sign of t: out[i] = i * step + min over j of (v[j] - j * step), a
+    window minimum of keys along the chain; results >= lim are sentinels.
+    """
+    import numpy as np
+
+    src, off, at, dep, lower, upper = lay
+    dtype, sent = prev.dtype, 2 * lim
+    if lower > upper:
+        return np.full(len(at), sent, dtype=dtype)
+    off, dep = off.astype(dtype, copy=False), dep.astype(dtype, copy=False)
+    vals = prev[src]
+    passes = []
+    if upper >= 0:  # t in [max(lower, 0), upper]: j in [i - upper, i - max(lower, 0)]
+        passes.append((cost * K + l1w, at - upper, upper - max(lower, 0) + 1))
+    if lower < 0:  # t in [lower, min(upper, -1)]: j in [i + gap, i - lower]
+        gap = max(1, -upper)
+        passes.append((cost * K - l1w, at + gap, -lower - gap + 1))
+    out = None
+    for step, starts, w in passes:
+        res = _block_min(vals - off * step, w, starts) + dep * step
+        out = res if out is None else np.minimum(out, res, out=out)
+    out[out >= lim] = sent
     return out
+
+
+def _binarized_step(prev, lay, cost: int, lim: int):
+    """One binarized-DP layer on the same layout, values being costs: one
+    0/1 arc per weight of :func:`binary_decomposition` over the slots, so
+    x[q] = min over subset sums w of v[q - w] + cost * w, then the base
+    arc: out[i] = x[i - lower] + cost * lower."""
+    import numpy as np
+
+    src, _, at, _, lower, upper = lay
+    sent = 2 * lim
+    if lower > upper:
+        return np.full(len(at), sent, dtype=prev.dtype)
+    x = prev[src]
+    for s in binary_decomposition(lower, upper):
+        shifted = np.full_like(x, sent)  # shifted[q] = x[q - s]
+        shifted[s:] = x[: max(len(x) - s, 0)]
+        x = np.minimum(x, shifted + cost * s)
+    out = x[at - lower] + cost * lower
+    out[out >= lim] = sent
+    return out
+
+
+def _list_min(values: list, cost, lower: int, upper: int, cyclic: bool) -> list:
+    """:func:`_queue_step` on one chain of list values (see the adapters)."""
+    import numpy as np
+
+    l = len(values)
+    if l == 0:
+        return []
+    pairs = any(isinstance(v, tuple) for v in values)
+    # l1 parts (>= 0) stay below K: each gains |t| < l
+    K = 1 << (max(v[1] for v in values if v is not None) + l).bit_length() if pairs else 1
+    packed = [None if v is None else (v[0] * K + v[1] if pairs else v) for v in values]
+    reach = l * (abs(cost) * K + 1)
+    top = max((abs(v) for v in packed if v is not None), default=0) + reach
+    lim, dtype = _value_range(top, reach)
+    prev = np.array([2 * lim if v is None else v for v in packed] + [2 * lim], dtype=dtype)
+    chain = np.arange(l)
+    lay = _layout(chain, chain, l, cyclic, lower, upper)
+    out = _queue_step(prev, lay, cost, K, 1 if pairs else 0, lim)
+    return [
+        None if v >= lim else (divmod(int(v), K) if pairs else int(v)) for v in out
+    ]
 
 
 def sliding_min_cycle(values: list, cost, capacity: int) -> list:
     """out[i] = min over t in [0, capacity] of values[(i - t) mod l] + cost*t.
 
-    values entries are numbers, (cost, l1) pairs, or None (+infinity); the
-    l1 component of pair values grows by t.  Linear time via a monotone
-    deque; t is clamped to the cycle length - 1, which is exact for
-    cost >= 0.
+    values entries are integers, (cost, l1) pairs, or None (+infinity); the
+    l1 component of pair values grows by t.  A list adapter over the block
+    minimum the bounded DP runs (one cycle, doubled ahead of itself); t is
+    clamped to the cycle length - 1, which is exact for cost >= 0.
     """
     if cost < 0:
         raise ValueError("cycle relaxation requires a nonnegative cost")
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
-    l = len(values)
-    w = min(capacity, l - 1)
-    keys = [_combine(values[j % l], -cost * j, -j) for j in range(-w, l)]
-    mins = _window_min(keys, w + 1)
-    return [_combine(mins[i + w], cost * i, i) for i in range(l)]
+    return _list_min(values, cost, 0, capacity, True)
 
 
 def sliding_min_path(values: list, cost, lower: int, upper: int) -> list:
     """out[i] = min over t in [lower, upper], i - l < t <= i, of
     values[i - t] + cost*t; value conventions as in sliding_min_cycle
-    (pair values gain |t| on the l1 component).  Linear time via a
-    monotone deque over each sign of t."""
+    (pair values gain |t| on the l1 component).  A list adapter over the
+    block minimum the bounded DP runs, one pass per sign of t."""
     if lower > upper:
         raise ValueError("empty variable window")
-    l = len(values)
-    out: list = [None] * l
-
-    # t >= 0: j = i - t runs over [i - upper, i - lb1]
-    lb1 = max(lower, 0)
-    if upper >= lb1:
-        keys = [_combine(values[j], -cost * j, -j) for j in range(l)]
-        mins = _window_min(keys, upper - lb1 + 1)
-        for i in range(lb1, l):
-            out[i] = _combine(mins[i - lb1], cost * i, i)
-
-    # t < 0: j = i - t runs over [i + gap, i - lo]; t > -l allows lo >= 1 - l,
-    # and the keys are padded past the end so the window keeps its width
-    lo, gap = max(lower, 1 - l), max(1, -upper)
-    if gap <= -lo:
-        keys = [_combine(values[j], -cost * j, j) for j in range(l)]
-        mins = _window_min(keys + [None] * -lo, -lo - gap + 1)
-        for i in range(l):
-            out[i] = _min2(out[i], _combine(mins[i - lo], cost * i, -i))
-    return out
+    return _list_min(values, cost, lower, upper, False)
 
 
 def binary_decomposition(alpha: int, beta: int) -> list[int]:
@@ -255,152 +372,148 @@ def _column_base(A: IntMat) -> tuple[tuple[int, ...], int]:
     return cols, absdet
 
 
+def _state_lattice(instance: StandardInstance) -> ParallelepipedLattice | None:
+    """Lattice of the max-det column base B; its points in the box of
+    radius H are a superset of {A x : ||x||_1 <= H}.  None when m = 0."""
+    if instance.A is None:
+        return None
+    cols, _ = _column_base(instance.A)
+    return ParallelepipedLattice(instance.A.submatrix(list(range(instance.m)), list(cols)))
+
+
 def _state_points(instance: StandardInstance, radius: int) -> list[tuple[int, ...]]:
     """Superset of {A x : ||x||_1 <= radius} via the max-det column base."""
-    if instance.A is None:
-        return [()]
-    m = instance.m
-    cols, _ = _column_base(instance.A)
-    b_mat = instance.A.submatrix(list(range(m)), list(cols))
-    return enumerate_parallelepiped(b_mat, [0] * m, radius)
+    lattice = _state_lattice(instance)
+    return lattice.points([0] * instance.m, radius) if lattice is not None else [()]
 
 
-def _queue_dp(instance, steps, windows, target, radius):
-    """Eager layered DP with per-layer value dicts; returns (lookup, value)
-    with lookup(k, state) the value of state after the first k columns."""
-    grp = instance.group
-    m_list = _state_points(instance, radius)
-    m_set = set(m_list)
-    if target[0] not in m_set:
+def _chains(coords, digits, moduli, strides, a_col, g_col):
+    """The chains of the layer graph s -> s + (a_col, g_col) on the states
+    s = p * R + r (lattice point p, residue code r), as (order, depth,
+    longest, cyclic) for :func:`_layout`.
+
+    a_col != 0: paths.  With i the first nonzero entry of a_col and
+    t = floor(y_i / a_i), a step raises t by 1 and keeps y - t * a_col and
+    r - t * g_col, so those label the chain and t orders it.  Every chain
+    is a full run of the lattice because the lattice is the set of integer
+    points of a convex body.  a_col = 0: the cycles of r -> r + g_col,
+    one per coset of <g_col> and lattice point, headed by the coset's
+    smallest code (a minimum over doubling shifts) and walked from it.
+    """
+    import numpy as np
+
+    n_pts, n_res = len(coords), len(digits)
+    g = np.array(g_col, dtype=np.int64)
+    nz = [i for i, v in enumerate(a_col) if v]
+    if nz:
+        i = nz[0]
+        t = coords[:, i] // a_col[i]
+        rep = coords - t[:, None] * np.array(a_col, dtype=coords.dtype)
+        t_mod = (t % math.lcm(*moduli.tolist())).astype(np.int64)
+        res = ((digits[None] - t_mod[:, None, None] * g) % moduli) @ strides
+        labels = [res.ravel()] + [np.repeat(rep[:, j], n_res) for j in range(rep.shape[1])]
+        order = np.lexsort([np.repeat(t, n_res)] + labels[::-1])
+        new = np.zeros(len(order), dtype=bool)
+        new[0] = True
+        for lab in labels:
+            lab = lab[order]
+            new[1:] |= lab[1:] != lab[:-1]
+        heads = np.flatnonzero(new)
+        depth = np.arange(len(order)) - heads[np.cumsum(new) - 1]
+        return order, depth, int(depth.max()) + 1, False
+    length = math.lcm(*(d // math.gcd(int(v), d) for v, d in zip(g_col, moduli.tolist())))
+    codes = np.arange(n_res)
+    low, step, span = codes, ((digits + g) % moduli) @ strides, 1
+    while span < length:  # low[r] = min code of r, r + g, ..., r + (2 span - 1) g
+        low, step, span = np.minimum(low, low[step]), step[step], 2 * span
+    heads = np.flatnonzero(low == codes)
+    walk = np.arange(length)[:, None] * g
+    cycles = ((digits[heads][:, None] + walk) % moduli) @ strides
+    order = (np.arange(n_pts)[:, None] * n_res + cycles.ravel()).ravel()
+    return order, np.arange(len(order)) % length, length, True
+
+
+def _layer_dp(instance, steps, windows, target, radius, variant):
+    """Dense layered DP over the states (lattice point, residue code).
+
+    Returns (lookup, value): lookup(k, (b, r)) is the value of state (b, r)
+    after the first k columns, None when b is off the lattice or the state
+    is unreachable; values are (cost, l1) pairs for "queue" and costs for
+    "binarized".  Raises CapExceeded before allocating more than
+    _DP_CELLS cells.
+    """
+    import numpy as np
+
+    n, m, grp = instance.n, instance.m, instance.group
+    lattice = _state_lattice(instance)
+    origin = (0,) * m
+    n_pts = lattice.count(origin, radius) if lattice is not None else 1
+    n_res = grp.order
+    queue = variant == "queue"
+    K = 1 << (n * radius).bit_length() if queue else 1  # l1 <= n * H < K
+    costs = [abs(c) for c in instance.c]
+    # |cost| <= sum |c_k| * H; a chain offset is below max(P, R)
+    lim, dtype = _value_range(
+        (sum(costs) * radius + 1) * K,
+        max(n_pts, n_res) * (max(costs, default=0) * K + 1),
+    )
+    cells = n_pts * n_res * (n + 1)
+    if cells * (1 if dtype is np.int64 else _OBJECT_CELL) > _DP_CELLS:
+        raise CapExceeded(
+            f"bounded DP needs {cells} cells ({n_pts} lattice points x "
+            f"{n_res} residues x {n + 1} layers"
+            f"{'' if dtype is np.int64 else ', Python ints'}), above the cap {_DP_CELLS}"
+        )
+    pts = lattice.points(origin, radius) if lattice is not None else [()]
+    index = {p: i for i, p in enumerate(pts)}
+    if target[0] not in index:
         return None, None
-    residues = grp.elements()
-    res_orbits_cache: dict[tuple[int, ...], list[list[tuple[int, ...]]]] = {}
+    # |y_i| <= sum_j |B_ij| * H on the lattice; coordinates and the chain
+    # labels y - t * a_col stay exact in int64 below 2^62
+    base = lattice.A.entries if lattice is not None else []
+    y_max = max((sum(map(abs, row)) * radius for row in base), default=0)
+    a_max = max((abs(v) for a_col, _ in steps for v in a_col), default=0)
+    coords = np.array(pts, dtype=np.int64 if (y_max + 1) * (a_max + 1) < 1 << 62 else object)
+    coords = coords.reshape(n_pts, m)
+    moduli = np.array(grp.moduli, dtype=np.int64)
+    strides = np.array(
+        [math.prod(grp.moduli[i + 1 :]) for i in range(len(grp.moduli))], dtype=np.int64
+    )
+    digits = np.arange(n_res)[:, None] // strides % moduli
 
-    layers: list[dict] = [{((0,) * instance.m, grp.zero): (0, 0)}]
-    for k, (a_col, g_col) in enumerate(steps):
-        prev = layers[-1]
-        cur: dict = {}
+    layers = np.full((n + 1, n_pts * n_res + 1), 2 * lim, dtype=dtype)
+    layers[0, index[origin] * n_res] = 0  # the zero residue has code 0
+    # Columns with equal steps share chains, and layouts where their clipped
+    # windows agree; both are dropped after the step's last column.
+    last = {step: k for k, step in enumerate(steps)}
+    plans: dict = {}
+    for k, step in enumerate(steps):
+        if step not in plans:
+            plans[step] = (_chains(coords, digits, moduli, strides, *step), {})
+        chains, layouts = plans[step]
+        longest = chains[2]
         alpha, beta = windows[k]
-        if all(v == 0 for v in a_col):
-            # layer graph is a union of residue cycles; window is [0, beta]
-            if g_col not in res_orbits_cache:
-                seen = set()
-                orbits = []
-                for r in residues:
-                    if r in seen:
-                        continue
-                    orbit = []
-                    cur_r = r
-                    while cur_r not in seen:
-                        seen.add(cur_r)
-                        orbit.append(cur_r)
-                        cur_r = grp.add(cur_r, g_col)
-                    orbits.append(orbit)
-                res_orbits_cache[g_col] = orbits
-            bs = sorted({b for b, _ in prev})
-            for b in bs:
-                for orbit in res_orbits_cache[g_col]:
-                    vals = [prev.get((b, r)) for r in orbit]
-                    outs = sliding_min_cycle(vals, instance.c[k], beta)
-                    for r, v in zip(orbit, outs):
-                        if v is not None:
-                            cur[(b, r)] = v
+        window = (max(alpha, 1 - longest), min(beta, longest - 1))
+        if window not in layouts:
+            layouts[window] = _layout(*chains, *window)
+        lay = layouts[window]
+        if last[step] == k:
+            del plans[step]
+        if queue:
+            layers[k + 1, :-1] = _queue_step(layers[k], lay, instance.c[k], K, 1, lim)
         else:
-            # layer graph decomposes into paths along the column step
-            visited = set()
-            for b0 in m_list:
-                for r0 in residues:
-                    s = (b0, r0)
-                    if s in visited:
-                        continue
-                    pred = (
-                        tuple(x - y for x, y in zip(b0, a_col)),
-                        grp.sub(r0, g_col),
-                    )
-                    if pred[0] in m_set:
-                        continue  # not a chain start
-                    chain = []
-                    while s[0] in m_set:
-                        visited.add(s)
-                        chain.append(s)
-                        s = (
-                            tuple(x + y for x, y in zip(s[0], a_col)),
-                            grp.add(s[1], g_col),
-                        )
-                    vals = [prev.get(t) for t in chain]
-                    outs = sliding_min_path(vals, instance.c[k], alpha, beta)
-                    for t, v in zip(chain, outs):
-                        if v is not None:
-                            cur[t] = v
-        layers.append(cur)
-    return (lambda k, s: layers[k].get(s)), layers[-1].get(target)
+            layers[k + 1, :-1] = _binarized_step(layers[k], lay, instance.c[k], lim)
 
-
-def _binarized_dp(instance, steps, windows, target, radius):
-    """Lazy memoized DP; per-layer windows compressed to 0/1 arcs.  Returns
-    (lookup, value) as _queue_dp does, with plain costs as values."""
-    n, m = instance.n, instance.m
-    grp = instance.group
-    if instance.A is not None:
-        cols, _ = _column_base(instance.A)
-        b_mat = instance.A.submatrix(list(range(m)), list(cols))
-
-        def in_window(b):
-            return all(
-                abs(f) <= radius for f in inverse_times(b_mat, list(b))
-            )
-
-    else:
-
-        def in_window(b):
-            return True
-
-    weightings = []
-    for k in range(n):
-        alpha, beta = windows[k]
-        weightings.append((alpha, binary_decomposition(alpha, beta)))
-
-    memo: dict = {}
-    bit_memo: dict = {}
-
-    def rec(k, b, g):
-        if not in_window(b):
+    def lookup(k, state):
+        p = index.get(state[0])
+        if p is None:
             return None
-        key = (k, b, g)
-        if key in memo:
-            return memo[key]
-        if k == 0:
-            out = 0 if (all(v == 0 for v in b) and all(v == 0 for v in g)) else None
-            memo[key] = out
-            return out
-        alpha, weights = weightings[k - 1]
-        out = bits(k, len(weights), b, g)
-        memo[key] = out
-        return out
+        v = layers[k, p * n_res + grp.encode(state[1])]
+        if v >= lim:
+            return None
+        return divmod(int(v), K) if queue else int(v)
 
-    def bits(k, i, b, g):
-        key = (k, i, b, g)
-        if key in bit_memo:
-            return bit_memo[key]
-        a_col, g_col = steps[k - 1]
-        cost = instance.c[k - 1]
-        alpha, weights = weightings[k - 1]
-        if i == 0:
-            pred_b = tuple(x - alpha * y for x, y in zip(b, a_col))
-            pred_g = grp.sub(g, grp.scale(alpha, g_col))
-            sub = rec(k - 1, pred_b, pred_g)
-            out = None if sub is None else sub + cost * alpha
-        else:
-            s = weights[i - 1]
-            skip = bits(k, i - 1, b, g)
-            take_b = tuple(x - s * y for x, y in zip(b, a_col))
-            take_g = grp.sub(g, grp.scale(s, g_col))
-            take = bits(k, i - 1, take_b, take_g)
-            out = _min2(skip, None if take is None else take + cost * s)
-        bit_memo[key] = out
-        return out
-
-    return (lambda k, s: rec(k, *s)), rec(n, *target)
+    return lookup, lookup(n, target)
 
 
 def _witness(instance, steps, windows, target, value, lookup):
@@ -455,8 +568,7 @@ def solve_bilp_sf(
         return SolveOutcome.infeasible(certificate={"stage": "lp"})
     shift, windows, radius, target = pre
 
-    dp = _queue_dp if variant == "queue" else _binarized_dp
-    lookup, val = dp(instance, steps, windows, target, radius)
+    lookup, val = _layer_dp(instance, steps, windows, target, radius, variant)
     if val is None:
         return SolveOutcome.infeasible(
             certificate={"variant": variant, "radius": radius}
@@ -544,14 +656,17 @@ def detect_unbounded(
         c=instance.c + (0,),
     )
     out = solve_bilp_sf(ext, chi=(n + 1) * budget + 1, variant="queue")
-    assert out.status == "optimal"  # x = 0 with full slack is feasible
+    if out.status != "optimal":  # x = 0 with full slack is feasible
+        raise CertificateError("the recession-cone budget problem has no optimum")
     if out.value >= 0:
         return False, None
     ray = out.x[:n]
-    if instance.A is not None:
-        assert all(v == 0 for v in instance.A.matvec(ray))
-    assert instance.residue(ray) == instance.group.zero
-    assert sum(ray) <= budget
+    if instance.A is not None and any(v != 0 for v in instance.A.matvec(ray)):
+        raise CertificateError("ray leaves the kernel of A")
+    if instance.residue(ray) != instance.group.zero:
+        raise CertificateError("ray has a nonzero group residue")
+    if sum(ray) > budget:
+        raise CertificateError("ray exceeds the recession-cone budget")
     return True, ray
 
 
@@ -633,7 +748,7 @@ def _unbounded_dp_generic(instance, b_target, g_target, rho, params):
                 x = [a + b_ for a, b_ in zip(x1, x2)]
                 memo[key] = x
                 return x
-        raise AssertionError("doubling table admits no consistent split")
+        raise CertificateError("doubling table admits no consistent split")
 
     return top[0], rec(rho, b_target, g_target)
 
@@ -658,7 +773,8 @@ def _unbounded_dp_dense(instance, b_target, g_target, rho, params):
     arrays: list = []
     for i in range(rho + 1):
         pts = _level_points(lattice, binv_b, i, rho, params.radius)
-        assert pts[-1][0] - pts[0][0] == len(pts) - 1, "window not contiguous"
+        if pts[-1][0] - pts[0][0] != len(pts) - 1:
+            raise CertificateError("doubling window is not contiguous")
         lo.append(pts[0][0])
         arrays.append(np.full((len(pts), r_count), big, dtype=np.int64))
 
@@ -749,13 +865,13 @@ def _unbounded_dp_dense(instance, b_target, g_target, rho, params):
             x = [0] * n
             if (y, ri) in col_of:
                 x[col_of[(y, ri)]] = 1
-            else:
-                assert y == 0 and ri == r_index[grp.zero] and v == 0
+            elif not (y == 0 and ri == r_index[grp.zero] and v == 0):
+                raise CertificateError("level-0 entry matches no column")
             memo[key] = x
             return x
         found = split(i, y, ri, v)
         if found is None:
-            raise AssertionError("doubling table admits no consistent split")
+            raise CertificateError("doubling table admits no consistent split")
         y2, r2 = found
         x1 = rec(i - 1, y2, r2)
         x2 = rec(i - 1, y - y2, rsub[ri][r2])

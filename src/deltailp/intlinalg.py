@@ -444,11 +444,9 @@ class ParallelepipedLattice:
                 y0.append(v)
             self.residues.append((t_num, tuple(y0)))
 
-    def points(
-        self, p: Sequence[Fraction | int], gamma: Fraction | int
-    ) -> list[tuple[int, ...]]:
-        """All integer y with A^{-1} y in the box ||x - p||_inf <= gamma,
-        lexicographically sorted."""
+    def _shifts(self, p, gamma):
+        """Per residue (y0, [(lo_j, hi_j)]): y = y0 + A u lies in the box
+        exactly for the integer u with lo_j <= u_j <= hi_j."""
         n = self.A.cols
         if len(p) != n:
             raise DimensionError("center has wrong length")
@@ -456,15 +454,30 @@ class ParallelepipedLattice:
         if gamma < 0:
             raise DimensionError("radius must be nonnegative")
         p = [Fraction(v) for v in p]
+        for t_num, y0 in self.residues:
+            ranges = []
+            for j in range(n):
+                t = Fraction(t_num[j], self.top)
+                ranges.append((math.ceil(p[j] - gamma - t), math.floor(p[j] + gamma - t)))
+            yield y0, ranges
+
+    def count(self, p: Sequence[Fraction | int], gamma: Fraction | int) -> int:
+        """len(self.points(p, gamma)), without enumerating the points."""
+        return sum(
+            math.prod(max(0, hi - lo + 1) for lo, hi in ranges)
+            for _, ranges in self._shifts(p, gamma)
+        )
+
+    def points(
+        self, p: Sequence[Fraction | int], gamma: Fraction | int
+    ) -> list[tuple[int, ...]]:
+        """All integer y with A^{-1} y in the box ||x - p||_inf <= gamma,
+        lexicographically sorted."""
         cols = list(zip(*self.A.entries))
         out: list[tuple[int, ...]] = []
-        for t_num, y0 in self.residues:
-            # y = y0 + A u for the integer shifts u that keep t + u in the box
+        for y0, ranges in self._shifts(p, gamma):
             pts = [y0]
-            for j, col in enumerate(cols):
-                t = Fraction(t_num[j], self.top)
-                lo = math.ceil(p[j] - gamma - t)
-                hi = math.floor(p[j] + gamma - t)
+            for col, (lo, hi) in zip(cols, ranges):
                 start = tuple(lo * v for v in col)
                 nxt = []
                 for y in pts:

@@ -84,6 +84,10 @@ class CertificateError(RuntimeError):
     """A solver's answer failed its explicit re-check."""
 
 
+class CapExceeded(RuntimeError):
+    """Raised when an enumeration or a DP table would exceed its cap."""
+
+
 @dataclass(frozen=True)
 class CanonicalInstance:
     """max c'x  s.t.  b_l <= A x <= b_r,  x integer."""

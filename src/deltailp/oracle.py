@@ -25,6 +25,7 @@ import numpy as np
 from .intlinalg import IntMat
 from .model import (
     CanonicalInstance,
+    CapExceeded,
     GroupInstance,
     StandardInstance,
     SolveOutcome,
@@ -33,10 +34,6 @@ from .model import (
 )
 
 Box = Sequence[tuple[int, int]]
-
-
-class CapExceeded(RuntimeError):
-    """Raised when an enumeration would exceed the configured point cap."""
 
 
 def point_cap() -> int:

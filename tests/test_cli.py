@@ -135,6 +135,20 @@ class TestSolve:
         assert kv(captured.out)["error"] == "recursion-limit"
         assert "Traceback" not in captured.out + captured.err
 
+    def test_dp_work_guard_exit_code(self, capsys, monkeypatch, cf_file):
+        # a layer table above the cell cap is refused before it is allocated
+        from deltailp import dpsolve
+
+        monkeypatch.setattr(dpsolve, "_DP_CELLS", 10)
+        code = main(["solve", cf_file])
+        captured = capsys.readouterr()
+        assert code == EXIT_CAP
+        pairs = kv(captured.out)
+        assert pairs["error"] == "cap-exceeded"
+        assert pairs["error.detail"].startswith("bounded DP needs ")
+        assert pairs["error.detail"].endswith("above the cap 10")
+        assert "Traceback" not in captured.out + captured.err
+
     def test_certificate_error_exit_code(self, capsys, monkeypatch, cf_file):
         def rejected(*args, **kwargs):
             raise CertificateError("DP produced an infeasible witness")

@@ -4,13 +4,23 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import deque
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from deltailp import dpsolve
 from deltailp.dpsolve import (
+    _block_min,
     _default_chi,
+    _layer_dp,
+    _layout,
+    _queue_step,
+    _recenter,
+    _state_points,
+    _steps,
+    _witness,
     binary_decomposition,
     detect_unbounded,
     mu_params,
@@ -19,9 +29,10 @@ from deltailp.dpsolve import (
     solve_bilp_sf,
     solve_ilp_sf_unbounded,
 )
-from deltailp.intlinalg import IntMat, det, minor_stats
+from deltailp.intlinalg import IntMat, det, minor_stats, rank
 from deltailp.model import POS_INF, StandardInstance, is_feasible, objective_value
 from deltailp.oracle import feasible_points
+from deltailp.reductions import classic_to_generalized
 
 
 def sf(n, m, a_rows, g_rows, s_diag, b, g, u, c):
@@ -87,6 +98,128 @@ def random_sf(rng, n, m):
     ]
     c = [rng.randint(0, 5) for _ in range(n)]
     return sf(n, m, a_rows, g_rows, s_diag, b, g, u, c)
+
+
+# -- reference: the queue DP on per-layer dicts of tuple states -------------
+#
+# Monotone-deque window minima and dict layers, one Python step per state:
+# an independent reference for the dense layers of dpsolve._layer_dp.
+
+
+def ref_min2(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a if a <= b else b
+
+
+def ref_combine(v, cost_shift, l1_shift):
+    if v is None:
+        return None
+    if isinstance(v, tuple):
+        return (v[0] + cost_shift, v[1] + l1_shift)
+    return v + cost_shift
+
+
+def ref_window_min(keys, w):
+    """out[e] = min(keys[e - w + 1 .. e]) over the indices >= 0, None acting
+    as +infinity; a monotone deque (Lemire 2006)."""
+    out = [None] * len(keys)
+    live = deque()
+    for e, k in enumerate(keys):
+        if k is not None:
+            while live and keys[live[-1]] >= k:
+                live.pop()
+            live.append(e)
+        if live and live[0] <= e - w:
+            live.popleft()
+        if live:
+            out[e] = keys[live[0]]
+    return out
+
+
+def ref_sliding_min_cycle(values, cost, capacity):
+    l = len(values)
+    w = min(capacity, l - 1)
+    keys = [ref_combine(values[j % l], -cost * j, -j) for j in range(-w, l)]
+    mins = ref_window_min(keys, w + 1)
+    return [ref_combine(mins[i + w], cost * i, i) for i in range(l)]
+
+
+def ref_sliding_min_path(values, cost, lower, upper):
+    l = len(values)
+    out = [None] * l
+    lb1 = max(lower, 0)
+    if upper >= lb1:
+        keys = [ref_combine(values[j], -cost * j, -j) for j in range(l)]
+        mins = ref_window_min(keys, upper - lb1 + 1)
+        for i in range(lb1, l):
+            out[i] = ref_combine(mins[i - lb1], cost * i, i)
+    lo, gap = max(lower, 1 - l), max(1, -upper)
+    if gap <= -lo:
+        keys = [ref_combine(values[j], -cost * j, j) for j in range(l)]
+        mins = ref_window_min(keys + [None] * -lo, -lo - gap + 1)
+        for i in range(l):
+            out[i] = ref_min2(out[i], ref_combine(mins[i - lo], cost * i, -i))
+    return out
+
+
+def ref_queue_dp(instance, steps, windows, target, radius):
+    """The dict-based queue DP: per-layer dicts over tuple states."""
+    grp = instance.group
+    m_list = _state_points(instance, radius)
+    m_set = set(m_list)
+    if target[0] not in m_set:
+        return None, None
+    residues = grp.elements()
+    layers = [{((0,) * instance.m, grp.zero): (0, 0)}]
+    for k, (a_col, g_col) in enumerate(steps):
+        prev = layers[-1]
+        cur = {}
+        alpha, beta = windows[k]
+        if all(v == 0 for v in a_col):
+            seen = set()
+            orbits = []
+            for r in residues:
+                if r in seen:
+                    continue
+                orbit = []
+                cur_r = r
+                while cur_r not in seen:
+                    seen.add(cur_r)
+                    orbit.append(cur_r)
+                    cur_r = grp.add(cur_r, g_col)
+                orbits.append(orbit)
+            for b in sorted({b for b, _ in prev}):
+                for orbit in orbits:
+                    vals = [prev.get((b, r)) for r in orbit]
+                    outs = ref_sliding_min_cycle(vals, instance.c[k], beta)
+                    for r, v in zip(orbit, outs):
+                        if v is not None:
+                            cur[(b, r)] = v
+        else:
+            visited = set()
+            for b0 in m_list:
+                for r0 in residues:
+                    s = (b0, r0)
+                    if s in visited:
+                        continue
+                    pred = (tuple(x - y for x, y in zip(b0, a_col)), grp.sub(r0, g_col))
+                    if pred[0] in m_set:
+                        continue
+                    chain = []
+                    while s[0] in m_set:
+                        visited.add(s)
+                        chain.append(s)
+                        s = (tuple(x + y for x, y in zip(s[0], a_col)), grp.add(s[1], g_col))
+                    vals = [prev.get(t) for t in chain]
+                    outs = ref_sliding_min_path(vals, instance.c[k], alpha, beta)
+                    for t, v in zip(chain, outs):
+                        if v is not None:
+                            cur[t] = v
+        layers.append(cur)
+    return (lambda k, s: layers[k].get(s)), layers[-1].get(target)
 
 
 class TestSlidingMin:
@@ -164,6 +297,86 @@ class TestSlidingMin:
                 assert sliding_min_path(vals, cost, lo, hi) == self.naive(
                     vals, cost, lo, hi, False
                 )
+
+
+class TestBlockMin:
+    LIM = 1 << 61
+
+    def test_matches_window_min(self):
+        # every width 1..L on every length up to 24, window starts 0..L-w;
+        # the last block is partial for most (L, w); sentinels (None) mix
+        # in, and for every third length fill the whole array
+        rng = random.Random(3)
+        sent = 2 * self.LIM
+        for l in range(1, 25):
+            keys = [
+                None if l % 3 == 0 or rng.random() < 0.3 else rng.randint(-50, 50)
+                for _ in range(l)
+            ]
+            for dtype in (np.int64, object):
+                arr = np.array([sent if k is None else k for k in keys], dtype=dtype)
+                for w in range(1, l + 1):
+                    got = _block_min(arr, w, np.arange(l - w + 1)).tolist()
+                    want = ref_window_min(keys, w)[w - 1 :]
+                    assert [None if v == sent else v for v in got] == want
+
+    def chains_min(self, rng, chains, cost, lower, upper, cyclic, K=256):
+        # the chains under shuffled state numbers, with pair values packed
+        # as cost * K + l1; returns the unpacked outputs chain by chain
+        lim = self.LIM
+        flat = [v for ch in chains for v in ch]
+        ids = list(range(len(flat)))
+        rng.shuffle(ids)
+        prev = np.full(len(flat) + 1, 2 * lim, dtype=np.int64)
+        for sid, v in zip(ids, flat):
+            if v is not None:
+                prev[sid] = v[0] * K + v[1]
+        depth = np.concatenate([np.arange(len(ch)) for ch in chains])
+        lay = _layout(np.array(ids), depth, max(map(len, chains)), cyclic, lower, upper)
+        out = _queue_step(prev, lay, cost, K, 1, lim)
+        vals = [None if out[sid] >= lim else divmod(int(out[sid]), K) for sid in ids]
+        res, i = [], 0
+        for ch in chains:
+            res.append(vals[i : i + len(ch)])
+            i += len(ch)
+        return res
+
+    def random_values(self, rng, l, dead):
+        return [
+            None if dead or rng.random() < 0.3 else (rng.randint(-9, 9), rng.randint(0, 9))
+            for _ in range(l)
+        ]
+
+    def test_path_segments(self):
+        # several chains of different lengths side by side, some with no
+        # finite value at all: no window may read across a chain boundary
+        rng = random.Random(4)
+        for _ in range(300):
+            chains = [
+                self.random_values(rng, rng.randint(1, 9), rng.random() < 0.2)
+                for _ in range(rng.randint(1, 5))
+            ]
+            cost = rng.randint(-3, 4)
+            lower = rng.randint(-11, 3)
+            upper = rng.randint(lower, lower + 12)
+            got = self.chains_min(rng, chains, cost, lower, upper, False)
+            want = [ref_sliding_min_path(ch, cost, lower, upper) for ch in chains]
+            assert got == want
+
+    def test_cycle_segments(self):
+        # equal-length cycles, each doubled ahead of itself
+        rng = random.Random(5)
+        for _ in range(200):
+            l = rng.randint(1, 8)
+            chains = [
+                self.random_values(rng, l, rng.random() < 0.2)
+                for _ in range(rng.randint(1, 5))
+            ]
+            cost = rng.randint(0, 4)
+            cap = rng.randint(0, 2 * l)
+            got = self.chains_min(rng, chains, cost, 0, cap, True)
+            want = [ref_sliding_min_cycle(ch, cost, cap) for ch in chains]
+            assert got == want
 
 
 class TestBinaryDecomposition:
@@ -254,6 +467,26 @@ class TestBoundedSolver:
         outs = [solve_bilp_sf(inst, chi=sum(inst.u) + 1) for _ in range(2)]
         assert outs[0] == outs[1]
 
+    def test_deep_chain_without_recursion(self):
+        # n = 150, u = 50, w <= 5 (radius 16): a memoized recursion with one
+        # frame per layer and per 0/1 arc runs deeper than the recursion
+        # limit; both variants are iterative and must agree
+        rng = random.Random(1)
+        n = 150
+        w = [rng.randint(1, 5) for _ in range(n)]
+        w[0] = 5
+        x0 = [rng.randint(0, 50) for _ in range(n)]
+        c = [rng.randint(0, 9) for _ in range(n)]
+        inst, _ = classic_to_generalized(
+            IntMat.from_rows([w]), (sum(a * b for a, b in zip(w, x0)),), c, [50] * n
+        )
+        assert n * (len(binary_decomposition(-16, 16)) + 2) > sys.getrecursionlimit()
+        queue = solve_bilp_sf(inst, variant="queue")
+        binarized = solve_bilp_sf(inst, variant="binarized")
+        assert queue.status == binarized.status == "optimal"
+        assert queue.value == binarized.value
+        assert is_feasible(inst, queue.x) and is_feasible(inst, binarized.x)
+
     def test_state_set_cardinality(self):
         from deltailp.dpsolve import _state_points
 
@@ -267,6 +500,139 @@ class TestBoundedSolver:
             for v in range(-2 * radius, 2 * radius)
             if any(p[0] == v for p in pts)
         )
+
+
+def layer_instance(rng, n, m, moduli, zero_cols):
+    """Bounded instance with free-form group moduli; the columns in
+    zero_cols get A-column 0.  Columns with A-column 0 get a nonnegative
+    cost."""
+    stack = random_unimodular(rng, n)
+    a_rows = [[0 if j in zero_cols else v for j, v in enumerate(r)] for r in stack[:m]]
+    zero_cols = {j for j in range(n) if all(r[j] == 0 for r in a_rows)}
+    s_diag = [1] * (n - m - len(moduli)) + list(moduli)
+    g_rows = stack[m:]
+    u = [rng.randint(0, 4) for _ in range(n)]
+    x0 = [rng.randint(0, ui) for ui in u]
+    b = [sum(r[j] * x0[j] for j in range(n)) for r in a_rows]
+    g = [sum(r[j] * x0[j] for j in range(n)) % d for r, d in zip(g_rows, s_diag)]
+    if rng.random() < 0.3 and g:
+        g[-1] = rng.randrange(s_diag[-1])
+    c = [rng.randint(0, 6) if j in zero_cols else rng.randint(-4, 6) for j in range(n)]
+    return sf(n, m, a_rows, g_rows, s_diag, b, g, u, c)
+
+
+class TestLayerReference:
+    # moduli: trivial, cyclic, non-cyclic
+    GROUPS = [(), (3,), (6,), (2, 2), (2, 4)]
+
+    def compare(self, inst, chi):
+        steps = _steps(inst)
+        pre = _recenter(inst, chi, steps)
+        if pre is None:
+            return None
+        _, windows, radius, target = pre
+        ref_lookup, ref_val = ref_queue_dp(inst, steps, windows, target, radius)
+        lookup, val = _layer_dp(inst, steps, windows, target, radius, "queue")
+        bin_lookup, bin_val = _layer_dp(inst, steps, windows, target, radius, "binarized")
+        assert val == ref_val
+        assert bin_val == (None if ref_val is None else ref_val[0])
+        if lookup is None:  # the target is off the lattice
+            assert target[0] not in set(_state_points(inst, radius))
+            return windows
+        residues = inst.group.elements()
+        for k in range(inst.n + 1):
+            for p in _state_points(inst, radius):
+                for r in residues:
+                    want = ref_lookup(k, (p, r))
+                    assert lookup(k, (p, r)) == want, (k, p, r)
+                    assert bin_lookup(k, (p, r)) == (None if want is None else want[0])
+        if ref_val is not None:
+            y = _witness(inst, steps, windows, target, val, lookup)
+            assert y == _witness(inst, steps, windows, target, ref_val, ref_lookup)
+        return windows
+
+    def test_layers_match_reference(self):
+        rng = random.Random(8)
+        seen = set()
+        for i in range(90):
+            m = i % 3
+            n = rng.randint(max(1, m), 5)
+            moduli = self.GROUPS[(i // 3) % len(self.GROUPS)]
+            if len(moduli) > n - m:
+                moduli = moduli[-(n - m):] if n > m else ()
+            zero_cols = {j for j in range(n) if rng.random() < 0.25} if m else set()
+            inst = layer_instance(rng, n, m, moduli, zero_cols)
+            if m and rank(inst.A) < m:
+                continue
+            chi = rng.choice([1, 2, sum(inst.u) + 1])
+            windows = self.compare(inst, chi)
+            if windows is None:
+                continue
+            seen.add(("m", m))
+            seen.add(("group", len(moduli)))
+            if zero_cols:
+                seen.add("zero column")
+            if any(alpha < 0 for alpha, _ in windows):
+                seen.add("negative window")
+        assert seen >= {
+            ("m", 0), ("m", 1), ("m", 2), ("group", 0), ("group", 1), ("group", 2),
+            "zero column", "negative window",
+        }
+
+    def test_target_off_the_lattice(self):
+        inst = sf(2, 1, [[2, 3]], [[1, 1]], [1], [7], [0], [3, 2], [3, 5])
+        steps = _steps(inst)
+        _, windows, radius, _ = _recenter(inst, 4, steps)
+        far = ((10**6,), ())
+        for variant in ("queue", "binarized"):
+            assert _layer_dp(inst, steps, windows, far, radius, variant) == (None, None)
+        assert ref_queue_dp(inst, steps, windows, far, radius) == (None, None)
+
+    def test_huge_lattice_coordinates(self):
+        # a unimodular base with entries near 2^62 puts lattice coordinates
+        # past int64, so coordinates and chain labels are Python ints;
+        # layers, values and witnesses must not change
+        big = 2**62
+        inst = sf(
+            3, 2, [[big + 1, big, 0], [1, 1, 0]], [[0, 0, 1]], [3],
+            [5 * big + 3, 5], [1], [4, 4, 2], [1, 2, 3],
+        )
+        self.compare(inst, 12)
+        for variant in ("queue", "binarized"):
+            out = solve_bilp_sf(inst, chi=12, variant=variant)
+            assert out.value == brute_min(inst)
+
+    def test_python_int_path(self, monkeypatch):
+        # costs near 2^60 push the packed range past int64: the same code
+        # runs on dtype object, with values and witnesses equal to the
+        # reference's exact Python ints
+        dtypes = []
+        value_range = dpsolve._value_range
+
+        def spy(top, reach):
+            out = value_range(top, reach)
+            dtypes.append(out[1])
+            return out
+
+        monkeypatch.setattr(dpsolve, "_value_range", spy)
+        rng = random.Random(12)
+        big = 2**60
+        for i in range(12):
+            m = i % 3
+            n = rng.randint(max(1, m) + 1, 4)
+            inst = layer_instance(rng, n, m, self.GROUPS[i % len(self.GROUPS)][: n - m], set())
+            if m and rank(inst.A) < m:
+                continue
+            inst = sf(
+                n, m, inst.A.to_lists() if m else [], inst.G.to_lists(),
+                [inst.S.entries[j][j] for j in range(n - m)], inst.b, inst.g, inst.u,
+                [big + c for c in inst.c],
+            )
+            self.compare(inst, sum(inst.u) + 1)
+            out = solve_bilp_sf(inst, chi=sum(inst.u) + 1)
+            ref = brute_min(inst)
+            assert out.value == ref
+        assert dtypes and all(d is object for d in dtypes)
 
 
 class TestDefaultChi:
@@ -492,7 +858,7 @@ class TestCertificates:
         import sys
         from deltailp import dpsolve
         from deltailp.intlinalg import IntMat
-        from deltailp.model import POS_INF, CertificateError, StandardInstance
+        from deltailp.model import POS_INF, CertificateError, SolveOutcome, StandardInstance
 
         def knapsack(u):
             return StandardInstance(
@@ -513,6 +879,9 @@ class TestCertificates:
         dpsolve.is_feasible = lambda inst, x: True
         dpsolve.objective_value = lambda inst, x: -1
         print(refused(dpsolve.solve_ilp_sf_unbounded, knapsack((POS_INF, POS_INF))))
+        # a budget optimum whose ray leaves ker A
+        dpsolve.solve_bilp_sf = lambda inst, **kw: SolveOutcome.optimal((1, 0, 0), -1)
+        print(refused(dpsolve.detect_unbounded, knapsack((POS_INF, POS_INF))))
         print("optimize", sys.flags.optimize)
         """
     )
@@ -528,5 +897,6 @@ class TestCertificates:
             "DP produced an infeasible witness",
             "DP produced an infeasible witness",
             "witness cost differs from the DP value",
+            "ray leaves the kernel of A",
             "optimize 1",
         ]
