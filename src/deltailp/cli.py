@@ -11,6 +11,7 @@ error, 5 enumeration cap refused or recursion limit reached.
 from __future__ import annotations
 
 import argparse
+import functools
 import statistics
 import sys
 import time
@@ -422,6 +423,7 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="delta-ilp", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -7,31 +7,29 @@ finite Abelian group G:
   relaxing one generator at a time along its cyclic orbits, in
   O(min(n, |G|) * |G|) group operations after deduplicating generators.
 - :func:`cyclic_minplus_solve` — for cyclic G, doubling over
-  ceil(log_{3/2} |G|) rounds where each round is one (min,+)
-  self-convolution of the doubled value sequence.
+  ceil(log_{3/2} |G|) levels, each one cyclic (min,+) self-convolution of
+  the previous level, held as one numpy array of packed integers.
 
 Both tie-break the optimum by minimal l1 norm, so the returned witness
-inherits the vertex-norm guarantee ||x||_1 <= |G| - 1.  The product
-certificate prod(1 + x_i) <= |G| for hull vertices and its faces
+inherits the vertex-norm guarantee ||x||_1 <= |G| - 1; a witness that
+fails its re-check raises :class:`WitnessError`, a CertificateError.  The
+product certificate prod(1 + x_i) <= |G| for hull vertices and its faces
 generalization are provided as checkable predicates.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
-from fractions import Fraction
 
 from .intlinalg import IntMat, rank
-from .model import GroupInstance, SolveOutcome, is_finite
+from .model import CertificateError, GroupInstance, SolveOutcome, is_finite
 
-# DP values are (cost, l1) pairs ordered lexicographically; None = unreachable.
-Pair = tuple[int, int]
+_BLOCK_CELLS = 1 << 16  # entries of one doubling block's temporaries
 
 
-class WitnessError(RuntimeError):
-    """Raised when a certified witness that must exist cannot be found."""
+class WitnessError(CertificateError):
+    """Raised when a certified witness cannot be found or fails its check."""
 
 
 def _check_unbounded_instance(instance: GroupInstance) -> None:
@@ -70,7 +68,7 @@ def gomory_solve(instance: GroupInstance) -> SolveOutcome:
     gens = _dedup_generators(instance)
     target = grp.encode(grp.reduce(instance.target))
 
-    dist: list[Pair | None] = [None] * order
+    dist: list[tuple[int, int] | None] = [None] * order
     dist[0] = (0, 0)
     # parents[stage][g] = predecessor of g via one copy of that stage's
     # generator, set only when the copy is on a best path
@@ -109,42 +107,14 @@ def gomory_solve(instance: GroupInstance) -> SolveOutcome:
         while g in stage:
             x[idx] += 1
             g = stage[g]
-    assert g == 0, "witness reconstruction did not reach the identity"
+    if g != 0:
+        raise WitnessError("witness reconstruction did not reach the identity")
     value = sum(c * t for c, t in zip(instance.costs, x))
-    assert (value, sum(x)) == dist[target]
+    if (value, sum(x)) != dist[target]:
+        raise WitnessError("witness cost or l1 differs from the DP value")
     return SolveOutcome.optimal(
         x, value, certificate={"deduplicated_generators": len(gens)}
     )
-
-
-def _pair_add(a, b):
-    if a is None or b is None:
-        return None
-    if isinstance(a, tuple):
-        return tuple(x + y for x, y in zip(a, b))
-    return a + b
-
-
-def minplus_convolution(a: list, b: list) -> list:
-    """c_k = min_{i+j=k}(a_i + b_j) with None as the absorbing +infinity.
-
-    Entries may be numbers or same-length tuples (compared
-    lexicographically, added componentwise).  Naive O(len(a)*len(b));
-    subquadratic convolution algorithms are deliberately out of scope and
-    can be substituted behind this interface.
-    """
-    out: list = [None] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai is None:
-            continue
-        for j, bj in enumerate(b):
-            if bj is None:
-                continue
-            v = _pair_add(ai, bj)
-            k = i + j
-            if out[k] is None or v < out[k]:
-                out[k] = v
-    return out
 
 
 def _is_cyclic(moduli) -> bool:
@@ -160,66 +130,90 @@ def _doubling_rounds(r: int) -> int:
     return k
 
 
-def cyclic_minplus_solve(instance: GroupInstance) -> SolveOutcome:
-    """Exact minimum for a cyclic group via doubling (min,+)-convolutions.
+def _minplus_doubling(level, rounds: int, big: int):
+    """(last level, per level k >= 2 its argmin splits) from level 1.
 
-    Level-1 values cover solutions with at most one generator copy; level k
-    covers l1-budget (3/2)^k and is obtained from level k-1 by one (min,+)
-    self-convolution of the doubled sequence (the wrap-around of indices
-    modulo r is realized by concatenating the sequence with itself and
-    reading entries r..2r-1).  After ceil(log_{3/2} r) levels the budget
-    covers some optimal solution with ||x||_1 <= r - 1, so the final value
-    is the true unbounded optimum.
+    new[s] = min_{g2} prev[(s - g2) mod r] + prev[g2], where the left term
+    is d[s - g2 + r] of the doubled level d = prev + prev: a window view of
+    d, summed and reduced by argmin in blocks of _BLOCK_CELLS // r rows, so
+    temporaries stay at _BLOCK_CELLS entries whatever r is.  The first
+    minimising g2 is the split a scan over range(r) finds.  Sums >= big
+    involve an unreachable entry and are clamped back to big.
     """
+    import numpy as np
+
+    r = len(level)
+    rows = max(1, _BLOCK_CELLS // r)
+    doubled = np.empty(2 * r, dtype=level.dtype)
+    # left[s, g2] = doubled[r + s - g2], an index in [1, 2r - 1]
+    step = doubled.strides[0]
+    left = np.lib.stride_tricks.as_strided(doubled[r:], shape=(r, r), strides=(step, -step))
+    blocks = [left[s0 : s0 + rows] for s0 in range(0, r, rows)]
+    s_plus_r = np.arange(r, 2 * r)
+    splits = []
+    for _ in range(1, rounds):
+        doubled[:r] = doubled[r:] = level
+        arg = np.concatenate([(block + level).argmin(axis=1) for block in blocks])
+        level = np.minimum(doubled[s_plus_r - arg] + level[arg], big)
+        splits.append(arg)
+    return level, splits
+
+
+def cyclic_minplus_solve(instance: GroupInstance) -> SolveOutcome:
+    """Exact minimum for a cyclic group Z_r via doubling (min,+) levels.
+
+    Level 1 holds the solutions with at most one generator copy; level k
+    covers l1-budget (3/2)^k and is the cyclic self-convolution of level
+    k - 1.  After rounds = ceil(log_{3/2} r) levels the budget covers an
+    optimal solution with ||x||_1 <= r - 1.  A level is one array of
+    packed values cost * K + l1, K = 2^rounds: l1 <= 2^(k-1) < K, so
+    integer order is (cost, l1) order and packed sums are sums of pairs.
+    Reachable values are at most top = (max c * K + 1) * 2^(rounds-1), and
+    unreachable ones are big = 2^max(61, bitlen(top)) > top; a sum of two
+    entries is at most 2 * big, so with big = 2^61 int64 is exact, and
+    otherwise the same code runs on Python ints (dtype object).  The
+    witness follows the argmin splits and is re-checked against the value.
+    """
+    import numpy as np
+
     _check_unbounded_instance(instance)
     grp = instance.group
     if not _is_cyclic(grp.moduli):
         raise ValueError("cyclic_minplus_solve requires a cyclic group")
     r = grp.order
     gens = _dedup_generators(instance)
-    gen_codes = [code for code, _, _ in gens]
-    gen_pairs: list[Pair] = [(cost, 1) for _, cost, _ in gens]
     target = grp.encode(grp.reduce(instance.target))
-
-    level1: list[Pair | None] = [None] * r
-    level1[0] = (0, 0)
-    for g in range(1, r):
-        pos = bisect.bisect_left(gen_codes, g)
-        if pos < len(gen_codes) and gen_codes[pos] == g:
-            level1[g] = gen_pairs[pos]
-
     rounds = _doubling_rounds(r)
-    levels = [level1]
-    for _ in range(2, rounds + 1):
-        doubled = levels[-1] + levels[-1]
-        beta = minplus_convolution(doubled, doubled)
-        levels.append([beta[s + r] for s in range(r)])
+    K = 1 << rounds
+    top = (max(instance.costs, default=0) * K + 1) << (rounds - 1)
+    big = 1 << max(61, top.bit_length())
 
-    if levels[-1][target] is None:
+    level = np.full(r, big, dtype=np.int64 if big == 1 << 61 else object)
+    level[0] = 0
+    for code, cost, _idx in gens:
+        level[code] = cost * K + 1
+    level, splits = _minplus_doubling(level, rounds, big)
+    packed = int(level[target])
+    if packed >= big:
         return SolveOutcome.infeasible(certificate={"rounds": rounds})
 
+    index_of = {code: idx for code, _, idx in gens}
     x = [0] * instance.n
-    code_to_index = {code: idx for code, _, idx in gens}
-
-    def reconstruct(k: int, g: int) -> None:
-        val = levels[k][g]
-        if val == (0, 0) and g == 0:
-            return
-        if k == 0:
-            x[code_to_index[g]] += 1
-            return
-        for g2 in range(r):
-            left = levels[k - 1][(g - g2) % r]
-            right = levels[k - 1][g2]
-            if _pair_add(left, right) == val:
-                reconstruct(k - 1, (g - g2) % r)
-                reconstruct(k - 1, g2)
-                return
-        raise WitnessError("doubling table admits no consistent split")
-
-    reconstruct(rounds - 1, target)
+    stack = [(rounds - 1, target)]
+    while stack:
+        k, g = stack.pop()
+        if g == 0:
+            continue
+        if k > 0:
+            g2 = int(splits[k - 1][g])
+            stack += [(k - 1, (g - g2) % r), (k - 1, g2)]
+        elif g in index_of:
+            x[index_of[g]] += 1
+        else:
+            raise WitnessError("level-1 entry matches no generator")
     value = sum(c * t for c, t in zip(instance.costs, x))
-    assert (value, sum(x)) == levels[-1][target]
+    if divmod(packed, K) != (value, sum(x)):
+        raise WitnessError("witness cost or l1 differs from the doubling value")
     return SolveOutcome.optimal(x, value, certificate={"rounds": rounds})
 
 

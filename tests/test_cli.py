@@ -174,6 +174,39 @@ class TestSolve:
         assert code == 0 and kv(out)["x"] == "2 1"
 
 
+class TestParser:
+    def test_built_once(self):
+        assert cli_mod._build_parser() is cli_mod._build_parser()
+
+    def test_reused_parser_keeps_each_call_apart(self, capsys, cf_file, group_file):
+        calls = [
+            ["solve", cf_file, "--variant", "binarized"],
+            ["solve", cf_file],
+            ["solve", group_file, "--algo", "cyclic"],
+            ["solve", group_file],
+            ["solve", cf_file, "--algo", "nope"],
+        ]
+        back_to_back = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the bad choice
+                code = exc.code
+            back_to_back.append((code, capsys.readouterr().out))
+        fresh = []
+        for argv in calls:
+            cli_mod._build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            fresh.append((code, capsys.readouterr().out))
+        assert back_to_back == fresh
+        assert [code for code, _ in fresh] == [0, 0, 0, 0, 2]
+        assert kv(fresh[0][1])["cert.variant"] != kv(fresh[1][1])["cert.variant"]
+        assert kv(fresh[2][1])["algo"] == kv(fresh[3][1])["algo"] == "cyclic"
+
+
 class TestPipelines:
     def test_gen_solve_roundtrip(self, capsys, tmp_path):
         for seed in range(10):
