@@ -367,7 +367,8 @@ def cmd_gen(args) -> int:
     rnd = stream(args.seed, f"gen:{args.kind}:{args.n}:{args.m}:{args.delta_max}")
     inst = generate(args.kind, rnd, args.n, args.m, args.delta_max)
     issues = validate(inst)
-    assert not issues, issues
+    if issues:
+        raise CertificateError(f"generated instance fails validation: {issues[0]}")
     print(serialize_instance(inst))
     return EXIT_OK
 
@@ -396,7 +397,8 @@ def bench_knapsack_delta(
             # recentered optimum and any box point, so it is a valid chi.
             out = solve_bilp_sf(inst, chi=sum(u) + 1, variant="queue")
             times.append(time.perf_counter() - t0)
-            assert out.status == "optimal"
+            if out.status != "optimal":  # x0 is feasible
+                raise CertificateError(f"bench knapsack reported {out.status}")
         medians[delta] = statistics.median(times)
     lo, hi = deltas
     return {

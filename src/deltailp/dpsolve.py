@@ -11,10 +11,15 @@
   over the same kernel); "binarized" compresses each per-variable window
   into O(log) 0/1 arcs via :func:`binary_decomposition`.  Both share one
   backward witness walk.
-- :func:`solve_ilp_sf_unbounded` — unbounded instances with c >= 0.  A
-  doubling DP over discrepancy-sized state windows combines two half
-  solutions per level; level i covers solutions with l1 norm up to
-  (6/5)^i.
+- :func:`solve_ilp_sf_unbounded` — unbounded instances with c >= 0.  At
+  m = 1 a doubling DP over discrepancy-sized state windows combines two
+  half solutions per level; level i covers solutions with l1 norm up to
+  (6/5)^i.  Each level is one numpy array over (window point, residue);
+  unreachable entries hold big = 2^max(60, bitlen(max(c) * 2^rho)), which
+  exceeds every reachable value, so the tables are int64 when big = 2^60
+  (big + big cannot overflow) and exact Python ints (dtype object)
+  otherwise.  At m >= 2 the bounded DP runs on the proximity box of the
+  LP vertex; m = 0 is Gomory's group problem.
 - :func:`detect_unbounded` — decides unboundedness of an instance with
   arbitrary costs by solving the homogeneous problem restricted to the
   recession-cone norm budget (m+1) * |det S| * Delta with an extra
@@ -49,7 +54,7 @@ Otherwise the same code runs on dtype object, exact Python ints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .intlinalg import (
@@ -72,8 +77,7 @@ from .model import (
     objective_value,
 )
 
-_DENSE_BIG = 1 << 60  # unreachable entry of the int64 doubling tables
-_PAD_CELLS = 1 << 16  # block budget of the dense doubling step, in entries
+_PAD_CELLS = 1 << 16  # block budget of the doubling step, in entries
 # Cap on the bounded DP's layer table, P lattice points x R residues x
 # (n + 1) layers, in int64 cells (64 MiB); a Python-int cell counts
 # _OBJECT_CELL times.  Above it solve_bilp_sf raises CapExceeded, exit 5.
@@ -682,79 +686,9 @@ def _level_points(lattice, binv_b, i, rho, radius):
     return lattice.points(center, radius)
 
 
-def _unbounded_dp_generic(instance, b_target, g_target, rho, params):
-    """Dict-based doubling DP for any m >= 1; returns (value, witness)."""
-    n, m = instance.n, instance.m
-    grp = instance.group
-    b_mat = instance.A.submatrix(list(range(m)), list(params.base))
-    binv_b = inverse_times(b_mat, list(b_target))
-    lattice = ParallelepipedLattice(b_mat)
-    levels: list[dict] = []
-    pts_sets = []
-    for i in range(rho + 1):
-        pts_sets.append(set(_level_points(lattice, binv_b, i, rho, params.radius)))
-
-    zero_b = (0,) * m
-    d0: dict = {}
-    if zero_b in pts_sets[0]:
-        d0[(zero_b, grp.zero)] = (0, None)  # (value, column index)
-    for j, (a_col, g_col) in enumerate(_steps(instance)):
-        if a_col in pts_sets[0]:
-            key = (a_col, g_col)
-            if key not in d0 or instance.c[j] < d0[key][0]:
-                d0[key] = (instance.c[j], j)
-    levels.append(d0)
-
-    for i in range(1, rho + 1):
-        prev = levels[-1]
-        cur: dict = {}
-        items = sorted(prev.items())
-        for (b1, g1), (v1, _) in items:
-            for (b2, g2), (v2, _) in items:
-                b = tuple(x + y for x, y in zip(b1, b2))
-                if b not in pts_sets[i]:
-                    continue
-                g = grp.add(g1, g2)
-                v = v1 + v2
-                key = (b, g)
-                if key not in cur or v < cur[key][0]:
-                    cur[key] = (v, None)
-        levels.append(cur)
-
-    top = levels[rho].get((b_target, g_target))
-    if top is None:
-        return None, None
-
-    memo: dict = {}
-
-    def rec(i, b, g):
-        key = (i, b, g)
-        if key in memo:
-            return memo[key]
-        val, col = levels[i][(b, g)]
-        if i == 0:
-            x = [0] * n
-            if col is not None:
-                x[col] = 1
-            memo[key] = x
-            return x
-        for (b1, g1), (v1, _) in sorted(levels[i - 1].items()):
-            b2 = tuple(x - y for x, y in zip(b, b1))
-            g2 = grp.sub(g, g1)
-            rest = levels[i - 1].get((b2, g2))
-            if rest is not None and v1 + rest[0] == val:
-                x1 = rec(i - 1, b1, g1)
-                x2 = rec(i - 1, b2, g2)
-                x = [a + b_ for a, b_ in zip(x1, x2)]
-                memo[key] = x
-                return x
-        raise CertificateError("doubling table admits no consistent split")
-
-    return top[0], rec(rho, b_target, g_target)
-
-
-def _unbounded_dp_dense(instance, b_target, g_target, rho, params):
-    """numpy-accelerated doubling DP for m = 1 (contiguous state windows)."""
+def _unbounded_dp(instance, b_target, g_target, rho, params):
+    """Doubling DP for m = 1 (contiguous state windows); returns
+    (value, witness) or (None, None)."""
     import numpy as np
 
     n = instance.n
@@ -768,7 +702,12 @@ def _unbounded_dp_dense(instance, b_target, g_target, rho, params):
     binv_b = inverse_times(b_mat, list(b_target))
     lattice = ParallelepipedLattice(b_mat)
 
-    big = _DENSE_BIG
+    # A level-i value costs at most 2^i columns, so every finite entry, and
+    # every sum of two level-(i-1) entries, is <= top < big.  With big = 2^60
+    # big + big cannot overflow int64; otherwise the tables hold Python ints.
+    top = max(instance.c) << rho
+    big = 1 << max(60, top.bit_length())
+    dtype = np.int64 if big == 1 << 60 else object
     lo: list[int] = []
     arrays: list = []
     for i in range(rho + 1):
@@ -776,7 +715,7 @@ def _unbounded_dp_dense(instance, b_target, g_target, rho, params):
         if pts[-1][0] - pts[0][0] != len(pts) - 1:
             raise CertificateError("doubling window is not contiguous")
         lo.append(pts[0][0])
-        arrays.append(np.full((len(pts), r_count), big, dtype=np.int64))
+        arrays.append(np.full((len(pts), r_count), big, dtype=dtype))
 
     a0 = arrays[0]
     if lo[0] <= 0 <= lo[0] + a0.shape[0] - 1:
@@ -807,7 +746,7 @@ def _unbounded_dp_dense(instance, b_target, g_target, rho, params):
         # entries with i3 in t0:t1 alone, so only those are written.  The
         # pairs (r2, r3) and (r3, r2) give the same minima, so r2 <= r3.
         k = max(1, min(p_len, _PAD_CELLS // p_len))
-        pad = np.full((k, p_len + k), big, dtype=np.int64)
+        pad = np.full((k, p_len + k), big, dtype=dtype)
         step = pad.strides[1]
         prev_t = np.ascontiguousarray(prev.T)
         for j in range(0, p_len, k):
@@ -883,21 +822,20 @@ def _unbounded_dp_dense(instance, b_target, g_target, rho, params):
 
 
 def solve_ilp_sf_unbounded(
-    instance: StandardInstance,
-    rho: int | None = None,
-    dense: bool | None = None,
+    instance: StandardInstance, rho: int | None = None
 ) -> SolveOutcome:
     """Exact optimum of an unbounded generalized standard form instance.
 
     Requires all upper bounds +inf and nonnegative costs.  With c >= 0
     and x >= 0 the objective is bounded below by 0, so the instance is
-    never unbounded and no recession-cone test is run.  rho overrides the
-    doubling depth (the default is derived from the proximity-based
-    recentering); dense forces or forbids the numpy-dense m = 1 code path,
-    which by default runs only when max(c) * 2^rho < 2^60, so that its
-    int64 tables cannot overflow; otherwise the Python-int generic path runs.
-    Raises CertificateError when the witness fails its feasibility or
-    objective re-check.
+    never unbounded and no recession-cone test is run.  m = 0 is Gomory's
+    group problem.  m = 1 runs the doubling DP from the proximity-based
+    recentering; rho overrides its depth.  Its tables are int64 when
+    max(c) * 2^rho < 2^60 and exact Python ints otherwise.  m >= 2 runs
+    :func:`solve_bilp_sf` on the proximity box u_k = max(0, ceil(x*_k)) +
+    chi of the LP vertex x*, chi = (m+1)(n+1) * Delta * |det S|; a
+    CapExceeded from it propagates.  Raises CertificateError when the
+    witness fails its feasibility or objective re-check.
     """
     if any(is_finite(v) for v in instance.u):
         raise ValueError("unbounded solver requires all upper bounds +inf")
@@ -918,40 +856,32 @@ def solve_ilp_sf_unbounded(
         raise CertificateError("LP relaxation with c >= 0 reported unbounded")
 
     delta = minor_stats(instance.A).delta
-    chi = (m + 1) * (n - m + 1 + m) * delta * abs(instance.det_s)
-    shift = []
-    for k in range(n):
-        ceil_k = math.ceil(lp.vertex[k])
-        shift.append(max(0, ceil_k - chi))
-    nonzero = sum(1 for v in lp.vertex if v != 0)
-    l1_bound = chi * (1 + nonzero) + nonzero + 1
-    if rho is None:
-        rho = _doubling_rho(max(l1_bound, 2))
-
-    b_target, g_target = _target(instance, shift)
-    params = mu_params(instance.A)
-    # A level-i value costs at most 2^i columns, so every finite value of
-    # the dense int64 tables, and every sum of two level-(i-1) values, is
-    # <= max(c) * 2^rho; below the "unreachable" mark 2^60 it stays exact
-    # and apart from it, and big + big = 2^61 cannot overflow int64.
-    fits = max(instance.c) * 2**rho < _DENSE_BIG
-    use_dense = dense if dense is not None else (m == 1 and fits)
-    if use_dense and m != 1:
-        raise ValueError("dense code path supports m = 1 only")
-    if use_dense and not fits:
-        raise ValueError("costs too large for the int64 dense code path")
-    runner = _unbounded_dp_dense if use_dense else _unbounded_dp_generic
-    value, xprime = runner(instance, b_target, g_target, rho, params)
-    if value is None:
-        return SolveOutcome.infeasible(
-            certificate={"rho": rho, "mu": params.mu}
+    chi = (m + 1) * (n + 1) * delta * abs(instance.det_s)
+    if m >= 2:
+        box = replace(
+            instance, u=tuple(max(0, math.ceil(v)) + chi for v in lp.vertex)
         )
-    x = [a + b for a, b in zip(xprime, shift)]
+        out = solve_bilp_sf(box)
+        if out.status != "optimal":
+            return out
+        x, value, cert = list(out.x), out.value, {"box": chi, **out.certificate}
+    else:
+        shift = [max(0, math.ceil(v) - chi) for v in lp.vertex]
+        nonzero = sum(1 for v in lp.vertex if v != 0)
+        l1_bound = chi * (1 + nonzero) + nonzero + 1
+        if rho is None:
+            rho = _doubling_rho(max(l1_bound, 2))
+        b_target, g_target = _target(instance, shift)
+        params = mu_params(instance.A)
+        cert = {"rho": rho, "mu": params.mu}
+        value, xprime = _unbounded_dp(instance, b_target, g_target, rho, params)
+        if value is None:
+            return SolveOutcome.infeasible(certificate=cert)
+        x = [a + b for a, b in zip(xprime, shift)]
+        value += sum(ci * si for ci, si in zip(instance.c, shift))
     if not is_feasible(instance, x):
         raise CertificateError("DP produced an infeasible witness")
     total = objective_value(instance, x)
-    if total != value + sum(ci * si for ci, si in zip(instance.c, shift)):
+    if total != value:
         raise CertificateError("witness cost differs from the DP value")
-    return SolveOutcome.optimal(
-        x, total, certificate={"rho": rho, "mu": params.mu}
-    )
+    return SolveOutcome.optimal(x, total, certificate=cert)

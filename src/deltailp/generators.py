@@ -1,8 +1,4 @@
-"""Seeded random generators of valid instances.
-
-``delta-ilp gen`` and ``scripts/gen_instances.py`` draw their instances
-here, so both give the same instance for the same random stream.
-"""
+"""Seeded random generators of valid instances for ``delta-ilp gen``."""
 
 from __future__ import annotations
 

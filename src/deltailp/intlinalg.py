@@ -536,7 +536,8 @@ def max_det_submatrix(A: IntMat, mode: str = "exact") -> tuple[tuple[int, ...], 
             v = abs(det(A.take_rows(ri)))
             if v > best_val:
                 best, best_val = ri, v
-        assert best is not None
+        if best is None:  # unreachable after the rank check
+            raise RankError("no nonsingular row subset")
         return best, best_val
     if mode != "greedy":
         raise ValueError("mode must be 'exact' or 'greedy'")

@@ -246,9 +246,9 @@ def test_criterion_02_unbounded_dp_matches_oracle():
     done = 0
     while done < 200:
         n = rnd.randint(2, 7)
-        # the generic doubling DP for m = 2 is faithful to its theoretical
-        # constants and already impractical on trivial inputs; m = 1 needs
-        # an enumerable proximity box, which caps it at n = 5
+        # m = 1 needs an enumerable proximity box, which caps it at n = 5;
+        # m = 2 (the bounded DP on that box) is cross-checked in
+        # test_dpsolve.py::TestUnboundedBoxRoute
         m = rnd.choice([0, 1]) if n <= 5 else 0
         while True:
             stack = random_unimodular(rnd, n)

@@ -1,4 +1,10 @@
 import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +17,11 @@ from deltailp.cli import (
     bench_knapsack_delta,
     main,
 )
-from deltailp.intlinalg import IntMat
+from deltailp.intlinalg import IntMat, minor_stats
 from deltailp.io import parse_instance, serialize_instance
+from deltailp.lp import solve_lp
 from deltailp.model import POS_INF, CertificateError, StandardInstance, validate
+from deltailp.oracle import brute_force_ilp
 
 
 def run(capsys, *argv):
@@ -174,6 +182,33 @@ class TestSolve:
         assert code == 0 and kv(out)["x"] == "2 1"
 
 
+    def test_unbounded_m2_file_matches_oracle(self, capsys, tmp_path):
+        # m = 2 runs the bounded DP on the proximity box of the LP vertex
+        inst = StandardInstance(
+            n=3,
+            m=2,
+            A=IntMat.from_rows([[-1, -1, 0], [2, 1, 1]]),
+            G=IntMat.from_rows([[2, 0, 1]]),
+            S=IntMat.from_rows([[2]]),
+            b=(-3, 5),
+            g=(0,),
+            u=(POS_INF,) * 3,
+            c=(1, 1, 3),
+        )
+        path = tmp_path / "m2.json"
+        path.write_text(serialize_instance(inst))
+        code, out = run(capsys, "solve", str(path))
+        pairs = kv(out)
+        lp = solve_lp(inst)
+        chi = 3 * 4 * minor_stats(inst.A).delta * inst.det_s  # (m+1)(n+1) Delta |det S|
+        box = [(0, max(0, math.ceil(v)) + chi) for v in lp.vertex]
+        ref = brute_force_ilp(inst, box)
+        assert code == 0
+        assert pairs["algo"] == "unbounded-dp"
+        assert pairs["status"] == ref.status == "optimal"
+        assert pairs["value"] == str(ref.value) == "3"
+
+
 class TestParser:
     def test_built_once(self):
         assert cli_mod._build_parser() is cli_mod._build_parser()
@@ -265,3 +300,40 @@ class TestBench:
         assert code == 0
         assert "median_seconds.delta_4" in pairs and "median_seconds.delta_8" in pairs
         assert "median_seconds.delta_50" not in pairs
+
+
+class TestChecksUnderOptimize:
+    # bench and gen guard their own results with explicit checks, so a bad
+    # result is refused when python -O strips asserts
+    SCRIPT = textwrap.dedent(
+        """
+        import sys
+        from deltailp import cli
+        from deltailp.model import CertificateError, SolveOutcome
+
+        cli.solve_bilp_sf = lambda inst, **kw: SolveOutcome.infeasible()
+        try:
+            cli.bench_knapsack_delta(n=4, deltas=(2, 4), repeats=1)
+        except CertificateError as exc:
+            print(exc)
+        cli.validate = lambda inst: ["upper bounds must be nonnegative"]
+        print(cli.main(["gen", "--kind", "sf", "--seed", "1"]))
+        print("optimize", sys.flags.optimize)
+        """
+    )
+
+    def test_bench_and_gen_refuse_under_optimize(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", self.SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert run.stdout.splitlines() == [
+            "bench knapsack reported infeasible",
+            "error: certificate",
+            "error.detail: generated instance fails validation: "
+            "upper bounds must be nonnegative",
+            str(EXIT_FAIL),
+            "optimize 1",
+        ]

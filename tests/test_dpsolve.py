@@ -1,10 +1,12 @@
 import itertools
+import math
 import os
 import random
 import subprocess
 import sys
 import textwrap
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from deltailp.dpsolve import (
     _default_chi,
     _layer_dp,
     _layout,
+    _level_points,
     _queue_step,
     _recenter,
     _state_points,
@@ -29,9 +32,23 @@ from deltailp.dpsolve import (
     solve_bilp_sf,
     solve_ilp_sf_unbounded,
 )
-from deltailp.intlinalg import IntMat, det, minor_stats, rank
-from deltailp.model import POS_INF, StandardInstance, is_feasible, objective_value
-from deltailp.oracle import feasible_points
+from deltailp.intlinalg import (
+    IntMat,
+    ParallelepipedLattice,
+    det,
+    inverse_times,
+    minor_stats,
+    rank,
+)
+from deltailp.lp import solve_lp
+from deltailp.model import (
+    POS_INF,
+    CapExceeded,
+    StandardInstance,
+    is_feasible,
+    objective_value,
+)
+from deltailp.oracle import brute_force_ilp, feasible_points
 from deltailp.reductions import classic_to_generalized
 
 
@@ -690,6 +707,106 @@ def brute_min_unbounded(inst, l1_cap):
     return best
 
 
+# -- reference: the doubling DP on dicts of (right side, residue) states ----
+#
+# Every pair of level-(i-1) entries is summed in Python, and the witness
+# takes the first split in sorted key order: an independent reference for
+# the numpy level arrays of dpsolve._unbounded_dp, any m >= 1.  It is
+# quadratic per level, so the tests run it at a shallow rho.
+
+
+def ref_unbounded_dp(instance, b_target, g_target, rho, params):
+    n, m = instance.n, instance.m
+    grp = instance.group
+    b_mat = instance.A.submatrix(list(range(m)), list(params.base))
+    binv_b = inverse_times(b_mat, list(b_target))
+    lattice = ParallelepipedLattice(b_mat)
+    levels: list[dict] = []
+    pts_sets = []
+    for i in range(rho + 1):
+        pts_sets.append(set(_level_points(lattice, binv_b, i, rho, params.radius)))
+
+    zero_b = (0,) * m
+    d0: dict = {}
+    if zero_b in pts_sets[0]:
+        d0[(zero_b, grp.zero)] = (0, None)  # (value, column index)
+    for j, (a_col, g_col) in enumerate(_steps(instance)):
+        if a_col in pts_sets[0]:
+            key = (a_col, g_col)
+            if key not in d0 or instance.c[j] < d0[key][0]:
+                d0[key] = (instance.c[j], j)
+    levels.append(d0)
+
+    for i in range(1, rho + 1):
+        prev = levels[-1]
+        cur: dict = {}
+        items = sorted(prev.items())
+        for (b1, g1), (v1, _) in items:
+            for (b2, g2), (v2, _) in items:
+                b = tuple(x + y for x, y in zip(b1, b2))
+                if b not in pts_sets[i]:
+                    continue
+                g = grp.add(g1, g2)
+                v = v1 + v2
+                key = (b, g)
+                if key not in cur or v < cur[key][0]:
+                    cur[key] = (v, None)
+        levels.append(cur)
+
+    top = levels[rho].get((b_target, g_target))
+    if top is None:
+        return None, None
+
+    memo: dict = {}
+
+    def rec(i, b, g):
+        key = (i, b, g)
+        if key in memo:
+            return memo[key]
+        val, col = levels[i][(b, g)]
+        if i == 0:
+            x = [0] * n
+            if col is not None:
+                x[col] = 1
+            memo[key] = x
+            return x
+        for (b1, g1), (v1, _) in sorted(levels[i - 1].items()):
+            b2 = tuple(x - y for x, y in zip(b, b1))
+            g2 = grp.sub(g, g1)
+            rest = levels[i - 1].get((b2, g2))
+            if rest is not None and v1 + rest[0] == val:
+                x1 = rec(i - 1, b1, g1)
+                x2 = rec(i - 1, b2, g2)
+                x = [a + b_ for a, b_ in zip(x1, x2)]
+                memo[key] = x
+                return x
+        raise AssertionError("doubling table admits no consistent split")
+
+    return top[0], rec(rho, b_target, g_target)
+
+
+def ref_solve_unbounded(inst, rho):
+    """solve_ilp_sf_unbounded with the reference in place of the level arrays."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dpsolve, "_unbounded_dp", ref_unbounded_dp)
+        return solve_ilp_sf_unbounded(inst, rho=rho)
+
+
+def spy_level_dtypes(monkeypatch):
+    """Record the dtype of every array np.full allocates; in an m = 1
+    unbounded solve those are the doubling DP's level arrays and pads."""
+    seen = []
+    full = np.full
+
+    def spy(*args, **kwargs):
+        out = full(*args, **kwargs)
+        seen.append(out.dtype.name)
+        return out
+
+    monkeypatch.setattr(np, "full", spy)
+    return seen
+
+
 class TestUnboundedSolver:
     def test_knapsack(self):
         inst = sf(2, 1, [[2, 3]], [[1, 1]], [1], [12], [0], [POS_INF] * 2, [1, 1])
@@ -738,10 +855,10 @@ class TestUnboundedSolver:
 
     def test_generic_matches_dense(self):
         inst = sf(2, 1, [[2, 3]], [[1, 1]], [2], [8], [1], [POS_INF] * 2, [1, 2])
-        dense = solve_ilp_sf_unbounded(inst, rho=8, dense=True)
-        generic = solve_ilp_sf_unbounded(inst, rho=8, dense=False)
-        assert dense.status == generic.status == "optimal"
-        assert dense.value == generic.value
+        got = solve_ilp_sf_unbounded(inst, rho=8)
+        ref = ref_solve_unbounded(inst, rho=8)
+        assert got.status == ref.status == "optimal"
+        assert got.value == ref.value
 
     def test_value_stable_in_rho(self):
         inst = sf(2, 1, [[2, 3]], [[1, 1]], [1], [7], [0], [POS_INF] * 2, [3, 5])
@@ -779,18 +896,18 @@ class TestUnboundedPaths:
         assert solve_ilp_sf_unbounded(m1).value == 4
 
     def test_dense_matches_generic_seeded(self):
-        # the generic path can take over a minute at the default rho, so both
-        # paths run the same shallower doubling; their tables must then agree
+        # the reference can take over a minute at the default rho, so both
+        # run the same shallower doubling; their tables must then agree
         rng = random.Random(2024)
         for det_s in (1, 2, 3):
             for n in (2, 3, 3):
                 inst = random_unbounded_m1(rng, n, det_s)
                 assert inst.det_s == det_s
-                dense = solve_ilp_sf_unbounded(inst, rho=6, dense=True)
-                generic = solve_ilp_sf_unbounded(inst, rho=6, dense=False)
-                assert dense.status == generic.status
-                assert dense.value == generic.value
-                assert dense.x == generic.x
+                got = solve_ilp_sf_unbounded(inst, rho=6)
+                ref = ref_solve_unbounded(inst, rho=6)
+                assert got.status == ref.status
+                assert got.value == ref.value
+                assert got.x == ref.x
 
     def test_small_blocks_match_one_block(self, monkeypatch):
         # a budget of 500 entries splits each level of these instances into
@@ -802,52 +919,115 @@ class TestUnboundedPaths:
             for det_s in (1, 2, 3)
             for n in (2, 3, 3)
         ]
-        ref = [solve_ilp_sf_unbounded(i, rho=6, dense=True) for i in insts]
+        ref = [ref_solve_unbounded(i, rho=6) for i in insts]
+        one = [solve_ilp_sf_unbounded(i, rho=6) for i in insts]
         monkeypatch.setattr(dpsolve, "_PAD_CELLS", 500)
-        for inst, want in zip(insts, ref):
-            got = solve_ilp_sf_unbounded(inst, rho=6, dense=True)
+        for inst, want, whole in zip(insts, ref, one):
+            got = solve_ilp_sf_unbounded(inst, rho=6)
             assert (got.status, got.value, got.x) == (
                 want.status, want.value, want.x
-            )
+            ) == (whole.status, whole.value, whole.x)
 
-    def test_large_costs_leave_the_int64_path(self):
-        # max(c) * 2^rho >= 2^60 routes auto to the Python-int path
+    def test_large_costs_leave_the_int64_path(self, monkeypatch):
+        # max(c) * 2^rho >= 2^60 puts the level arrays on Python ints
         scale = 2**55
         small = sf(2, 1, [[2, 3]], [[1, 1]], [2], [8], [1], [POS_INF] * 2, [1, 2])
         large = sf(
             2, 1, [[2, 3]], [[1, 1]], [2], [8], [1], [POS_INF] * 2,
             [scale, 2 * scale + 1],
         )
-        ref = solve_ilp_sf_unbounded(small, rho=8, dense=True)
-        auto = solve_ilp_sf_unbounded(large, rho=8)
-        generic = solve_ilp_sf_unbounded(large, rho=8, dense=False)
-        assert auto.status == generic.status == "optimal"
-        assert auto.value == generic.value
-        assert auto.x == generic.x == ref.x
-        assert auto.value == objective_value(large, auto.x)
-        assert auto.value == ref.value * scale + ref.x[1]
-        with pytest.raises(ValueError):
-            solve_ilp_sf_unbounded(large, rho=8, dense=True)
+        want = solve_ilp_sf_unbounded(small, rho=8)
+        ref = ref_solve_unbounded(large, rho=8)
+        seen = spy_level_dtypes(monkeypatch)
+        got = solve_ilp_sf_unbounded(large, rho=8)
+        assert len(seen) >= 9 and set(seen) == {"object"}
+        assert got.status == ref.status == "optimal"
+        assert got.value == ref.value
+        assert got.x == ref.x == want.x
+        assert got.value == objective_value(large, got.x)
+        assert got.value == want.value * scale + want.x[1]
 
     def test_costs_just_under_the_limit_stay_dense(self, monkeypatch):
-        # max(c) * 2^rho = 2^60 - 2^8: auto keeps the int64 path, whose
-        # values must equal the Python-int ones
-        rho, top = 8, 2**52 - 1
-        inst = sf(
-            2, 1, [[2, 3]], [[1, 1]], [2], [8], [1], [POS_INF] * 2,
-            [top - 1, top],
-        )
-        generic = solve_ilp_sf_unbounded(inst, rho=rho, dense=False)
+        # rho = 8: max(c) = 2^52 - 1 gives max(c) * 2^rho = 2^60 - 2^8, the
+        # largest int64 run; max(c) = 2^52 is the smallest Python-int run.
+        # Both must equal the reference.
+        for c_max, dtype in ((2**52 - 1, "int64"), (2**52, "object")):
+            inst = sf(
+                2, 1, [[2, 3]], [[1, 1]], [2], [8], [1], [POS_INF] * 2,
+                [c_max - 1, c_max],
+            )
+            ref = ref_solve_unbounded(inst, rho=8)
+            with monkeypatch.context() as mp:
+                seen = spy_level_dtypes(mp)
+                got = solve_ilp_sf_unbounded(inst, rho=8)
+            assert len(seen) >= 9 and set(seen) == {dtype}
+            assert got.status == ref.status == "optimal"
+            assert (got.value, got.x) == (ref.value, ref.x)
+            assert got.value == objective_value(inst, got.x)
 
-        def fail(*args, **kwargs):
-            raise AssertionError("generic path used")
+    def test_scaled_costs_keep_the_witness(self):
+        # costs x 2^58 at the default rho (15-26 here) need Python-int
+        # levels; the witness must not move and the value scales exactly
+        scale = 2**58
+        rng = random.Random(2024)
+        for det_s in (1, 2, 3):
+            for n in (2, 3, 3):
+                inst = random_unbounded_m1(rng, n, det_s)
+                big = replace(inst, c=tuple(ci * scale for ci in inst.c))
+                want = solve_ilp_sf_unbounded(inst)
+                got = solve_ilp_sf_unbounded(big)
+                assert got.status == want.status
+                assert got.x == want.x
+                if want.status == "optimal":
+                    assert got.value == want.value * scale
+                    assert got.certificate == want.certificate
 
-        monkeypatch.setattr(dpsolve, "_unbounded_dp_generic", fail)
-        auto = solve_ilp_sf_unbounded(inst, rho=rho)
-        assert auto.status == generic.status == "optimal"
-        assert auto.value == generic.value
-        assert auto.x == generic.x
-        assert auto.value == objective_value(inst, auto.x)
+
+def random_unbounded_m2(rng):
+    """n = 3, m = 2 unbounded instance with Delta(A) = 1 and c >= 0, so its
+    proximity box stays small enough for brute force."""
+    while True:
+        stack = random_unimodular(rng, 3)
+        a_rows, g_rows = stack[:2], stack[2:]
+        if minor_stats(IntMat.from_rows(a_rows)).delta == 1:
+            break
+    det_s = rng.choice([1, 2])
+    x0 = [rng.randint(0, 3) for _ in range(3)]
+    b = [sum(r[j] * x0[j] for j in range(3)) for r in a_rows]
+    g = [sum(g_rows[0][j] * x0[j] for j in range(3)) % det_s]
+    c = [rng.randint(0, 5) for _ in range(3)]
+    return sf(3, 2, a_rows, g_rows, [det_s], b, g, [POS_INF] * 3, c)
+
+
+def proximity_box(inst):
+    """The box criterion 02 enumerates: [0, max(0, ceil(x*_k)) + chi]."""
+    lp = solve_lp(inst)
+    delta = minor_stats(inst.A).delta
+    chi = (inst.m + 1) * (inst.n + 1) * delta * abs(inst.det_s)
+    return [(0, max(0, math.ceil(v)) + chi) for v in lp.vertex]
+
+
+class TestUnboundedBoxRoute:
+    def test_m2_matches_brute_force_on_the_box(self):
+        rng = random.Random(11)
+        statuses = []
+        for _ in range(5):
+            inst = random_unbounded_m2(rng)
+            out = solve_ilp_sf_unbounded(inst)
+            ref = brute_force_ilp(inst, proximity_box(inst))
+            assert out.status == ref.status
+            statuses.append(out.status)
+            if ref.status == "optimal":
+                assert out.value == ref.value
+                assert is_feasible(inst, out.x)
+                assert out.certificate["box"] > 0
+        assert statuses.count("optimal") >= 4
+
+    def test_m2_cap_exceeded_propagates(self, monkeypatch):
+        inst = random_unbounded_m2(random.Random(11))
+        monkeypatch.setattr(dpsolve, "_DP_CELLS", 10)
+        with pytest.raises(CapExceeded):
+            solve_ilp_sf_unbounded(inst)
 
 
 class TestCertificates:
