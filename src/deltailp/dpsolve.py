@@ -34,12 +34,15 @@ costs only (both variants return equal objective values).  Every witness
 is re-checked with :func:`~deltailp.model.is_feasible`; a failed re-check
 raises :class:`~deltailp.model.CertificateError`, also under ``python -O``.
 
-Bounded DP encoding.  The states are s = p * R + r: p indexes the P points
-of one ``ParallelepipedLattice.points`` call (the residual right sides
-within radius H of the max-det column base) and r is the residue code of
-``GroupSpec.encode`` (R = group order).  A layer is one flat numpy array
-over the states plus a sentinel slot, and the table holds all n + 1
-layers; more than ``_DP_CELLS`` cells raise
+Bounded DP encoding.  The states are s = p * R + r: p indexes the rows of
+the (P, m) integer array of one ``ParallelepipedLattice.points`` call (the
+residual right sides within radius H of the max-det column base, in
+lexicographic order) and r is the residue code of ``GroupSpec.encode``
+(R = group order).  The witness walk finds a point's row through
+:func:`_point_rows`: a dict from each prefix (y_0, ..., y_{m-2}) to its
+run of consecutive last coordinates; no tuple per point is built.  A
+layer is one flat numpy array over the states plus a sentinel slot, and
+the table holds all n + 1 layers; more than ``_DP_CELLS`` cells raise
 :class:`~deltailp.model.CapExceeded` before anything is allocated.  A
 queue value is packed as cost * K + l1 with K = 2^ceil(log2(n*H + 1)):
 l1 <= n * H < K, so integer order is lexicographic order and packed sums
@@ -385,10 +388,42 @@ def _state_lattice(instance: StandardInstance) -> ParallelepipedLattice | None:
     return ParallelepipedLattice(instance.A.submatrix(list(range(instance.m)), list(cols)))
 
 
-def _state_points(instance: StandardInstance, radius: int) -> list[tuple[int, ...]]:
-    """Superset of {A x : ||x||_1 <= radius} via the max-det column base."""
-    lattice = _state_lattice(instance)
-    return lattice.points([0] * instance.m, radius) if lattice is not None else [()]
+def _point_rows(coords):
+    """y -> the row of coords that holds y, None when y is not a row.
+
+    coords holds the lattice points in lexicographic order.  The lattice is
+    the set of integer points of a convex body, so the points that share a
+    prefix y_0, ..., y_{m-2} are consecutive rows whose last coordinates run
+    through consecutive integers.  A dict maps each prefix to its run as
+    (first row - first y_{m-1}, first y_{m-1}, last y_{m-1}): one entry at
+    m = 1, and no tuple per point.
+    """
+    import numpy as np
+
+    n_pts, m = coords.shape
+    if m == 0:
+        return lambda y: 0
+    new = np.ones(n_pts, dtype=bool)
+    new[1:] = (coords[1:, :-1] != coords[:-1, :-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], n_pts) - 1
+    first, last = coords[starts, -1], coords[ends, -1]
+    if (last - first != ends - starts).any():
+        raise CertificateError("lattice points of one prefix are not contiguous")
+    runs = dict(
+        zip(
+            map(tuple, coords[starts, :-1].tolist()),
+            zip((starts - first).tolist(), first.tolist(), last.tolist()),
+        )
+    )
+
+    def row(y):
+        run = runs.get(y[:-1])
+        if run is None or not run[1] <= y[-1] <= run[2]:
+            return None
+        return run[0] + y[-1]
+
+    return row
 
 
 def _chains(coords, digits, moduli, strides, a_col, g_col):
@@ -468,17 +503,18 @@ def _layer_dp(instance, steps, windows, target, radius, variant):
             f"{n_res} residues x {n + 1} layers"
             f"{'' if dtype is np.int64 else ', Python ints'}), above the cap {_DP_CELLS}"
         )
-    pts = lattice.points(origin, radius) if lattice is not None else [()]
-    index = {p: i for i, p in enumerate(pts)}
-    if target[0] not in index:
+    if lattice is None:
+        coords = np.zeros((1, 0), dtype=np.int64)
+    else:
+        coords = lattice.points(origin, radius)
+    row = _point_rows(coords)
+    if row(target[0]) is None:
         return None, None
-    # |y_i| <= sum_j |B_ij| * H on the lattice; coordinates and the chain
-    # labels y - t * a_col stay exact in int64 below 2^62
-    base = lattice.A.entries if lattice is not None else []
-    y_max = max((sum(map(abs, row)) * radius for row in base), default=0)
+    # the chain labels y - t * a_col of _chains stay exact in int64 below 2^62
+    y_max = int(abs(coords).max()) if coords.size else 0
     a_max = max((abs(v) for a_col, _ in steps for v in a_col), default=0)
-    coords = np.array(pts, dtype=np.int64 if (y_max + 1) * (a_max + 1) < 1 << 62 else object)
-    coords = coords.reshape(n_pts, m)
+    if (y_max + 1) * (a_max + 1) >= 1 << 62:
+        coords = coords.astype(object)
     moduli = np.array(grp.moduli, dtype=np.int64)
     strides = np.array(
         [math.prod(grp.moduli[i + 1 :]) for i in range(len(grp.moduli))], dtype=np.int64
@@ -486,7 +522,7 @@ def _layer_dp(instance, steps, windows, target, radius, variant):
     digits = np.arange(n_res)[:, None] // strides % moduli
 
     layers = np.full((n + 1, n_pts * n_res + 1), 2 * lim, dtype=dtype)
-    layers[0, index[origin] * n_res] = 0  # the zero residue has code 0
+    layers[0, row(origin) * n_res] = 0  # the zero residue has code 0
     # Columns with equal steps share chains, and layouts where their clipped
     # windows agree; both are dropped after the step's last column.
     last = {step: k for k, step in enumerate(steps)}
@@ -509,7 +545,7 @@ def _layer_dp(instance, steps, windows, target, radius, variant):
             layers[k + 1, :-1] = _binarized_step(layers[k], lay, instance.c[k], lim)
 
     def lookup(k, state):
-        p = index.get(state[0])
+        p = row(state[0])
         if p is None:
             return None
         v = layers[k, p * n_res + grp.encode(state[1])]
@@ -681,14 +717,15 @@ def _doubling_rho(l1_bound: int) -> int:
     return rho
 
 
-def _level_points(lattice, binv_b, i, rho, radius):
-    center = [Fraction(2**i, 2**rho) * f for f in binv_b]
-    return lattice.points(center, radius)
-
-
 def _unbounded_dp(instance, b_target, g_target, rho, params):
     """Doubling DP for m = 1 (contiguous state windows); returns
-    (value, witness) or (None, None)."""
+    (value, witness) or (None, None).
+
+    Level i's window holds the y with |y / a - 2^i * b / (2^rho * a)| <=
+    radius (a the entry of the 1 x 1 base, b the target), i.e. |y - 2^i *
+    b / 2^rho| <= radius * |a|, computed in integers from the centre 2^i * b
+    over 2^rho; the lattice's count of the same box confirms that the
+    window is one run of consecutive integers."""
     import numpy as np
 
     n = instance.n
@@ -699,8 +736,8 @@ def _unbounded_dp(instance, b_target, g_target, rho, params):
     radd = [[r_index[grp.add(a, b)] for b in residues] for a in residues]
     rsub = [[r_index[grp.sub(a, b)] for b in residues] for a in residues]
     b_mat = instance.A.submatrix([0], list(params.base))
-    binv_b = inverse_times(b_mat, list(b_target))
     lattice = ParallelepipedLattice(b_mat)
+    pivot, y_t = b_mat.entries[0][0], b_target[0]
 
     # A level-i value costs at most 2^i columns, so every finite entry, and
     # every sum of two level-(i-1) entries, is <= top < big.  With big = 2^60
@@ -711,11 +748,14 @@ def _unbounded_dp(instance, b_target, g_target, rho, params):
     lo: list[int] = []
     arrays: list = []
     for i in range(rho + 1):
-        pts = _level_points(lattice, binv_b, i, rho, params.radius)
-        if pts[-1][0] - pts[0][0] != len(pts) - 1:
+        centre = y_t << i
+        first = -(-centre >> rho) - params.radius * abs(pivot)
+        last = (centre >> rho) + params.radius * abs(pivot)
+        count = lattice.count([Fraction(centre, pivot << rho)], params.radius)
+        if count != last - first + 1:
             raise CertificateError("doubling window is not contiguous")
-        lo.append(pts[0][0])
-        arrays.append(np.full((len(pts), r_count), big, dtype=dtype))
+        lo.append(first)
+        arrays.append(np.full((last - first + 1, r_count), big, dtype=dtype))
 
     a0 = arrays[0]
     if lo[0] <= 0 <= lo[0] + a0.shape[0] - 1:
@@ -767,7 +807,6 @@ def _unbounded_dp(instance, b_target, g_target, rho, params):
                     col = cur[rows, radd[r2][r3]]
                     np.minimum(col, pad[:kk, q0:q1].min(axis=0), out=col)
 
-    y_t = b_target[0]
     if not (lo[rho] <= y_t <= lo[rho] + arrays[rho].shape[0] - 1):
         return None, None
     top = int(arrays[rho][y_t - lo[rho], r_index[g_target]])
@@ -833,8 +872,9 @@ def solve_ilp_sf_unbounded(
     recentering; rho overrides its depth.  Its tables are int64 when
     max(c) * 2^rho < 2^60 and exact Python ints otherwise.  m >= 2 runs
     :func:`solve_bilp_sf` on the proximity box u_k = max(0, ceil(x*_k)) +
-    chi of the LP vertex x*, chi = (m+1)(n+1) * Delta * |det S|; a
-    CapExceeded from it propagates.  Raises CertificateError when the
+    chi of the LP vertex x*, chi = (m+1)(n+1) * Delta * |det S|, with the
+    smaller of its default proximity bound and sum(u) + 1; a CapExceeded
+    from it propagates.  Raises CertificateError when the
     witness fails its feasibility or objective re-check.
     """
     if any(is_finite(v) for v in instance.u):
@@ -861,7 +901,8 @@ def solve_ilp_sf_unbounded(
         box = replace(
             instance, u=tuple(max(0, math.ceil(v)) + chi for v in lp.vertex)
         )
-        out = solve_bilp_sf(box)
+        # no two box points are further apart than sum(u) in l1
+        out = solve_bilp_sf(box, chi=min(_default_chi(box), sum(box.u) + 1))
         if out.status != "optimal":
             return out
         x, value, cert = list(out.x), out.value, {"box": chi, **out.certificate}

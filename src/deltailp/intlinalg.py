@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -162,20 +161,22 @@ def det(M: IntMat) -> int:
 
 
 def rank(M: IntMat) -> int:
-    """Exact rank via rational Gaussian elimination."""
-    a = [[Fraction(e) for e in row] for row in M.entries]
+    """Exact rank by fraction-free (Bareiss) row echelon elimination: after
+    r pivots every remaining entry is an (r+1) x (r+1) minor, so each
+    division by the previous pivot is exact."""
+    a = [list(row) for row in M.entries]
     r = 0
+    prev = 1
     for j in range(M.cols):
         pivot_row = next((i for i in range(r, M.rows) if a[i][j] != 0), None)
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = a[r][j]
+        pivot = a[r][j]
         for i in range(r + 1, M.rows):
-            if a[i][j] != 0:
-                f = a[i][j] / inv
-                for jj in range(j, M.cols):
-                    a[i][jj] -= f * a[r][jj]
+            f = a[i][j]
+            a[i] = [(v * pivot - f * w) // prev for v, w in zip(a[i], a[r])]
+        prev = pivot
         r += 1
         if r == M.rows:
             break
@@ -409,12 +410,18 @@ def delta_gcd(A: IntMat) -> int:
 
 
 class ParallelepipedLattice:
-    """The superlattice A^{-1} Z^n modulo Z^n of a nonsingular square A,
-    decomposed once (det, Smith form, adjugate) for any number of
-    :meth:`points` enumerations with the same A.
+    """The integer points y with A^{-1} y in an axis box, for one nonsingular
+    square A decomposed once (det, Smith form, adjugate) and any number of
+    boxes.
 
-    Each residue is kept as the numerator of t = Q^{-1} S^{-1} r over the
-    largest invariant factor, with its image y0 = A t in Z^n.
+    A^{-1} Z^n is the union of R = |det A| cosets t + Z^n, t in [0, 1)^n.
+    Row k of ``t_num`` (shape (R, n)) holds coset k's t as integer
+    numerators over the largest invariant factor ``top``; row k of ``y0``
+    holds A t, which is integral.  A box ||x - p||_inf <= gamma meets coset
+    k in the points y0_k + A u with u integral and lo_kj <= u_j <= hi_kj.
+    :meth:`count` and :meth:`points` read these ranges, computed for all
+    cosets at once by floor division over the box's common denominator; no
+    Fraction is built.
     """
 
     def __init__(self, A: IntMat) -> None:
@@ -430,11 +437,12 @@ class ParallelepipedLattice:
         a = A.entries
         # Smith divisibility: every s_i divides s_n, so t = T / s_n with T integral
         self.top = top = s_diag[-1]
-        self.residues: list[tuple[list[int], tuple[int, ...]]] = []
+        t_rows, y_rows = [], []
         for r in itertools.product(*(range(si) for si in s_diag)):
             sr = [ri * (top // si) for ri, si in zip(r, s_diag)]
+            # t = Q^{-1} S^{-1} r, reduced into [0, 1)^n
             t_num = [
-                sum(q_inv.entries[i][j] * sr[j] for j in range(n)) for i in range(n)
+                sum(q_inv.entries[i][j] * sr[j] for j in range(n)) % top for i in range(n)
             ]
             y0 = []
             for i in range(n):
@@ -442,53 +450,83 @@ class ParallelepipedLattice:
                 if rem:
                     raise ArithmeticError("residue point does not map to Z^n")
                 y0.append(v)
-            self.residues.append((t_num, tuple(y0)))
+            t_rows.append(t_num)
+            y_rows.append(y0)
+        self.t_num = _int_array(t_rows, top)
+        # |y0_i| <= sum_j |A_ij| since 0 <= t_j < 1
+        self.y0 = _int_array(y_rows, max(sum(map(abs, row)) for row in a))
+        self.a_t = _int_array(A.transpose().entries, A.norm_max())
 
-    def _shifts(self, p, gamma):
-        """Per residue (y0, [(lo_j, hi_j)]): y = y0 + A u lies in the box
-        exactly for the integer u with lo_j <= u_j <= hi_j."""
-        n = self.A.cols
-        if len(p) != n:
+    def _ranges(self, p, gamma):
+        """The box ||x - p||_inf <= gamma over one common denominator d, as
+        (d, c, g) with x_j in [(c_j - g) / d, (c_j + g) / d], and the (R, n)
+        int arrays lo, hi of the coset ranges."""
+        import numpy as np
+
+        if len(p) != self.A.cols:
             raise DimensionError("center has wrong length")
-        gamma = Fraction(gamma)
         if gamma < 0:
             raise DimensionError("radius must be nonnegative")
-        p = [Fraction(v) for v in p]
-        for t_num, y0 in self.residues:
-            ranges = []
-            for j in range(n):
-                t = Fraction(t_num[j], self.top)
-                ranges.append((math.ceil(p[j] - gamma - t), math.floor(p[j] + gamma - t)))
-            yield y0, ranges
+        d = math.lcm(gamma.denominator, *(v.denominator for v in p))
+        c = [v.numerator * (d // v.denominator) for v in p]
+        g = gamma.numerator * (d // gamma.denominator)
+        top = self.top
+        # d * top * u_j in [(c_j - g) * top - d * T_kj, (c_j + g) * top - d * T_kj]
+        # with 0 <= T_kj < top; on the int64 path every term and partial sum
+        # stays below 2^62
+        size = 2 * d * top + (max(map(abs, c), default=0) + g) * top
+        dtype = np.int64 if size < 1 << 62 else object
+        t = d * self.t_num.astype(dtype, copy=False)
+        cv = np.array(c, dtype=dtype)
+        lo = -((t - (cv - g) * top) // (d * top))
+        hi = ((cv + g) * top - t) // (d * top)
+        return (d, c, g), lo, hi
 
     def count(self, p: Sequence[Fraction | int], gamma: Fraction | int) -> int:
-        """len(self.points(p, gamma)), without enumerating the points."""
-        return sum(
-            math.prod(max(0, hi - lo + 1) for lo, hi in ranges)
-            for _, ranges in self._shifts(p, gamma)
-        )
+        """Number of integer y with A^{-1} y in the box ||x - p||_inf <= gamma
+        (p and gamma rational), exact: the sum over cosets of the products of
+        the range lengths."""
+        import numpy as np
 
-    def points(
-        self, p: Sequence[Fraction | int], gamma: Fraction | int
-    ) -> list[tuple[int, ...]]:
-        """All integer y with A^{-1} y in the box ||x - p||_inf <= gamma,
-        lexicographically sorted."""
-        cols = list(zip(*self.A.entries))
-        out: list[tuple[int, ...]] = []
-        for y0, ranges in self._shifts(p, gamma):
-            pts = [y0]
-            for col, (lo, hi) in zip(cols, ranges):
-                start = tuple(lo * v for v in col)
-                nxt = []
-                for y in pts:
-                    y = tuple(map(operator.add, y, start))
-                    for _ in range(lo, hi + 1):
-                        nxt.append(y)
-                        y = tuple(map(operator.add, y, col))
-                pts = nxt
-            out.extend(pts)
-        out.sort()
-        return out
+        _, lo, hi = self._ranges(p, gamma)
+        return sum(math.prod(row) for row in np.maximum(hi - lo + 1, 0).tolist())
+
+    def points(self, p: Sequence[Fraction | int], gamma: Fraction | int):
+        """All integer y with A^{-1} y in the box ||x - p||_inf <= gamma, as
+        the lexicographically sorted rows of one (count, n) numpy array.
+
+        Every row, and every partial sum of y0 + A u, is bounded by
+        sum_j |A_ij| * (|p_j| + gamma + 2) in coordinate i.  The array is
+        int64 when sum_j |A_ij| * (|p_j| + gamma + 1) < 2^62 for every i,
+        and dtype object (exact Python ints) otherwise.
+        """
+        import numpy as np
+
+        (d, c, g), lo, hi = self._ranges(p, gamma)
+        bound = max(
+            sum(abs(v) * (abs(cj) + g + d) for v, cj in zip(row, c)) for row in self.A.entries
+        )
+        # on the int64 path |u_j| <= |p_j| + gamma + 1 < 2^62 too, since
+        # every column of the nonsingular A has an entry of size >= 1
+        dtype = np.int64 if bound < d << 62 else object
+        counts = np.maximum(hi - lo + 1, 0)
+        sizes = np.array([math.prod(row) for row in counts.tolist()], dtype=np.int64)
+        counts, lo = counts.astype(dtype), lo.astype(dtype)
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        local = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        # mixed-radix digits of the index within the coset, last u_j fastest
+        strides = np.ones_like(counts)
+        strides[:, :-1] = np.cumprod(counts[:, :0:-1], axis=1)[:, ::-1]
+        u = lo[owner] + local[:, None] // strides[owner] % counts[owner]
+        y = self.y0.astype(dtype, copy=False)[owner] + u @ self.a_t.astype(dtype, copy=False)
+        return y[np.lexsort(y.T[::-1])]
+
+
+def _int_array(rows, bound: int):
+    """rows as a numpy array: int64 when bound < 2^62, else dtype object."""
+    import numpy as np
+
+    return np.array(rows, dtype=np.int64 if bound < 1 << 62 else object)
 
 
 def enumerate_parallelepiped(
@@ -500,9 +538,10 @@ def enumerate_parallelepiped(
     the Smith form of A, then shifts each residue by the integer vectors
     that land in the box.  Output is lexicographically sorted; its size is
     at most (2*gamma + 1)^n * |det A|.  For many boxes with the same A,
-    build one :class:`ParallelepipedLattice` and call its ``points``.
+    build one :class:`ParallelepipedLattice` and call its ``points``, which
+    returns the same points as the rows of one numpy array.
     """
-    return ParallelepipedLattice(A).points(p, gamma)
+    return list(map(tuple, ParallelepipedLattice(A).points(p, gamma).tolist()))
 
 
 def _greedy_base(A: IntMat) -> list[int]:

@@ -7,6 +7,7 @@ import sys
 import textwrap
 from collections import deque
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +16,12 @@ import pytest
 from deltailp import dpsolve
 from deltailp.dpsolve import (
     _block_min,
+    _column_base,
     _default_chi,
     _layer_dp,
     _layout,
-    _level_points,
     _queue_step,
     _recenter,
-    _state_points,
     _steps,
     _witness,
     binary_decomposition,
@@ -34,7 +34,6 @@ from deltailp.dpsolve import (
 )
 from deltailp.intlinalg import (
     IntMat,
-    ParallelepipedLattice,
     det,
     inverse_times,
     minor_stats,
@@ -50,6 +49,7 @@ from deltailp.model import (
 )
 from deltailp.oracle import brute_force_ilp, feasible_points
 from deltailp.reductions import classic_to_generalized
+from test_intlinalg import ref_points
 
 
 def sf(n, m, a_rows, g_rows, s_diag, b, g, u, c):
@@ -115,6 +115,21 @@ def random_sf(rng, n, m):
     ]
     c = [rng.randint(0, 5) for _ in range(n)]
     return sf(n, m, a_rows, g_rows, s_diag, b, g, u, c)
+
+
+def state_points(instance, radius):
+    """Superset of {A x : ||x||_1 <= radius}: the reference enumeration of
+    the lattice of the max-det column base (all of Z^0 when m = 0)."""
+    if instance.A is None:
+        return [()]
+    cols, _ = _column_base(instance.A)
+    b_mat = instance.A.submatrix(list(range(instance.m)), list(cols))
+    return ref_points(b_mat, [0] * instance.m, radius)
+
+
+def level_points(b_mat, binv_b, i, rho, radius):
+    """The reference enumeration of level i's window of the doubling DP."""
+    return ref_points(b_mat, [Fraction(2**i, 2**rho) * f for f in binv_b], radius)
 
 
 # -- reference: the queue DP on per-layer dicts of tuple states -------------
@@ -185,7 +200,7 @@ def ref_sliding_min_path(values, cost, lower, upper):
 def ref_queue_dp(instance, steps, windows, target, radius):
     """The dict-based queue DP: per-layer dicts over tuple states."""
     grp = instance.group
-    m_list = _state_points(instance, radius)
+    m_list = state_points(instance, radius)
     m_set = set(m_list)
     if target[0] not in m_set:
         return None, None
@@ -505,11 +520,9 @@ class TestBoundedSolver:
         assert is_feasible(inst, queue.x) and is_feasible(inst, binarized.x)
 
     def test_state_set_cardinality(self):
-        from deltailp.dpsolve import _state_points
-
         inst = sf(2, 1, [[2, 3]], [[1, 1]], [1], [7], [0], [3, 2], [3, 5])
         radius = 5
-        pts = _state_points(inst, radius)
+        pts = state_points(inst, radius)
         delta = minor_stats(inst.A).delta
         assert len(pts) <= (2 * radius + 1) ** inst.m * delta
         assert all(
@@ -554,11 +567,11 @@ class TestLayerReference:
         assert val == ref_val
         assert bin_val == (None if ref_val is None else ref_val[0])
         if lookup is None:  # the target is off the lattice
-            assert target[0] not in set(_state_points(inst, radius))
+            assert target[0] not in set(state_points(inst, radius))
             return windows
         residues = inst.group.elements()
         for k in range(inst.n + 1):
-            for p in _state_points(inst, radius):
+            for p in state_points(inst, radius):
                 for r in residues:
                     want = ref_lookup(k, (p, r))
                     assert lookup(k, (p, r)) == want, (k, p, r)
@@ -595,6 +608,70 @@ class TestLayerReference:
             ("m", 0), ("m", 1), ("m", 2), ("group", 0), ("group", 1), ("group", 2),
             "zero column", "negative window",
         }
+
+    def test_negative_base_determinant(self):
+        # A row negated in A and b flips the sign of the max-det column
+        # base's determinant and changes no solution; layers, values and
+        # witnesses must still match the reference, and the optimum the
+        # brute force
+        rng = random.Random(31)
+        seen = set()
+        for i in range(30):
+            m = 1 + i % 2
+            n = rng.randint(m + 1, 4)
+            moduli = self.GROUPS[(i // 2) % len(self.GROUPS)][: n - m]
+            inst = layer_instance(rng, n, m, moduli, set())
+            if rank(inst.A) < m:
+                continue
+            cols, absdet = _column_base(inst.A)
+            if det(inst.A.submatrix(list(range(m)), list(cols))) > 0:
+                rows = inst.A.to_lists()
+                rows[0] = [-v for v in rows[0]]
+                inst = replace(inst, A=IntMat.from_rows(rows), b=(-inst.b[0],) + inst.b[1:])
+            assert det(inst.A.submatrix(list(range(m)), list(cols))) == -absdet
+            chi = rng.choice([1, 2, sum(inst.u) + 1])
+            if self.compare(inst, chi) is None:
+                continue
+            ref = brute_min(inst)
+            for variant in ("queue", "binarized"):
+                out = solve_bilp_sf(inst, chi=sum(inst.u) + 1, variant=variant)
+                assert out.value == ref
+            seen.add(("m", m))
+            if absdet > 1:
+                seen.add(("det", m))
+        assert seen >= {("m", 1), ("m", 2), ("det", 1), ("det", 2)}
+
+    def test_off_lattice_states_read_none(self):
+        # m = 3: a lookup finds a point through the run of y_2 that its
+        # prefix (y_0, y_1) heads; states next to the lattice's points, past
+        # the ends of their runs and under other prefixes, must read None
+        rng = random.Random(5)
+        checked = 0
+        while checked < 3:
+            inst = layer_instance(rng, 4, 3, (2,), set())
+            if rank(inst.A) < 3:
+                continue
+            steps = _steps(inst)
+            pre = _recenter(inst, 1, steps)
+            if pre is None:
+                continue
+            _, windows, radius, target = pre
+            lookup, _ = _layer_dp(inst, steps, windows, target, radius, "queue")
+            if lookup is None:
+                continue
+            pts = state_points(inst, radius)
+            on = set(pts)
+            w = 2 * max(abs(v) for p in pts for v in p) + 1
+            shifts = [(-1, w, 0), (1, -w, 0), (0, -1, w), (0, 0, 1), (0, 0, -1), (w, 0, 0)]
+            for p in pts:
+                for shift in shifts:
+                    q = tuple(a + b for a, b in zip(p, shift))
+                    if q not in on:
+                        for k in (0, inst.n):
+                            for r in inst.group.elements():
+                                assert lookup(k, (q, r)) is None
+            assert lookup(0, ((0, 0, 0), inst.group.zero)) == (0, 0)
+            checked += 1
 
     def test_target_off_the_lattice(self):
         inst = sf(2, 1, [[2, 3]], [[1, 1]], [1], [7], [0], [3, 2], [3, 5])
@@ -720,11 +797,10 @@ def ref_unbounded_dp(instance, b_target, g_target, rho, params):
     grp = instance.group
     b_mat = instance.A.submatrix(list(range(m)), list(params.base))
     binv_b = inverse_times(b_mat, list(b_target))
-    lattice = ParallelepipedLattice(b_mat)
     levels: list[dict] = []
     pts_sets = []
     for i in range(rho + 1):
-        pts_sets.append(set(_level_points(lattice, binv_b, i, rho, params.radius)))
+        pts_sets.append(set(level_points(b_mat, binv_b, i, rho, params.radius)))
 
     zero_b = (0,) * m
     d0: dict = {}
@@ -1021,6 +1097,11 @@ class TestUnboundedBoxRoute:
                 assert out.value == ref.value
                 assert is_feasible(inst, out.x)
                 assert out.certificate["box"] > 0
+                # the bounded DP runs with the smaller valid chi: the default
+                # bound or the box's l1 diameter sum(u) + 1
+                box = replace(inst, u=tuple(hi for _, hi in proximity_box(inst)))
+                chi = min(_default_chi(box), sum(box.u) + 1)
+                assert out.certificate["chi"] == chi < _default_chi(box)
         assert statuses.count("optimal") >= 4
 
     def test_m2_cap_exceeded_propagates(self, monkeypatch):

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from deltailp.intlinalg import (
     DimensionError,
     IntMat,
+    ParallelepipedLattice,
     RankError,
     adjugate,
     det,
@@ -43,6 +45,44 @@ def random_mat(rng, rows, cols, bound):
     )
 
 
+def ref_points(A, p, gamma):
+    """Reference for ParallelepipedLattice.points: all integer y with
+    A^{-1} y in the box ||x - p||_inf <= gamma, lexicographically sorted.
+
+    One tuple walk per residue: residues t = Q^{-1} S^{-1} r from the Smith
+    form A = P [S; 0] Q, Fraction ranges ceil(p_j - gamma - t_j) <= u_j <=
+    floor(p_j + gamma - t_j), and the points y = A t + A u built one tuple
+    at a time.
+    """
+    n = A.cols
+    dec = snf(A)
+    s_diag = [dec.S.entries[i][i] for i in range(n)]
+    q_inv = adjugate(dec.Q).scale(det(dec.Q))
+    gamma = Fraction(gamma)
+    p = [Fraction(v) for v in p]
+    cols = list(zip(*A.entries))
+    out = []
+    for r in itertools.product(*(range(si) for si in s_diag)):
+        t = [
+            sum(Fraction(q_inv.entries[i][j] * r[j], s_diag[j]) for j in range(n))
+            for i in range(n)
+        ]
+        y0 = [sum(a * tj for a, tj in zip(row, t)) for row in A.entries]
+        assert all(v.denominator == 1 for v in y0)
+        pts = [tuple(int(v) for v in y0)]
+        for j, col in enumerate(cols):
+            lo, hi = math.ceil(p[j] - gamma - t[j]), math.floor(p[j] + gamma - t[j])
+            nxt = []
+            for y in pts:
+                y = tuple(a + lo * v for a, v in zip(y, col))
+                for _ in range(lo, hi + 1):
+                    nxt.append(y)
+                    y = tuple(a + v for a, v in zip(y, col))
+            pts = nxt
+        out.extend(pts)
+    return sorted(out)
+
+
 class TestDet:
     def test_identity(self):
         assert det(IntMat.identity(3)) == 1
@@ -71,6 +111,37 @@ class TestDet:
     def test_hypothesis_cofactor(self, rows):
         m = IntMat.from_rows(rows)
         assert det(m) == det_cofactor(rows)
+
+
+class TestRank:
+    def test_matches_largest_nonzero_minor(self):
+        # oracle: the largest k with a nonzero k x k minor (cofactor
+        # expansion), on shapes with dependent rows and zero columns
+        rng = random.Random(13)
+        ranks = set()
+        for _ in range(60):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            a = random_mat(rng, rows, cols, 3).to_lists()
+            if rows > 1 and rng.random() < 0.5:  # a dependent row
+                f = rng.randint(-2, 2)
+                a[-1] = [f * v for v in a[0]]
+            if rng.random() < 0.3:  # a zero column
+                j = rng.randrange(cols)
+                for row in a:
+                    row[j] = 0
+            want = max(
+                (
+                    k
+                    for k in range(1, min(rows, cols) + 1)
+                    for ri in itertools.combinations(range(rows), k)
+                    for ci in itertools.combinations(range(cols), k)
+                    if det_cofactor([[a[i][j] for j in ci] for i in ri]) != 0
+                ),
+                default=0,
+            )
+            assert rank(IntMat.from_rows(a)) == want
+            ranks.add(want)
+        assert ranks >= {0, 1, 2, 3}
 
 
 class TestAdjugate:
@@ -264,9 +335,12 @@ class TestEnumerateParallelepiped:
 
 
     def test_dyadic_centres_1x1(self):
-        # centres (2^i / 2^rho) * b / a, as the unbounded doubling DP uses
+        # centres (2^i / 2^rho) * b / a, as the unbounded doubling DP uses;
+        # its windows are runs of consecutive integers whose length the
+        # lattice's count must give
         for a_val in (1, -2, 3, 5, -6):
             a = IntMat.from_rows([[a_val]])
+            lattice = ParallelepipedLattice(a)
             for b_val in (-7, 0, 4, 11):
                 for rho in (1, 3, 5):
                     for i in range(rho + 1):
@@ -274,6 +348,9 @@ class TestEnumerateParallelepiped:
                         for gamma in (0, 1, Fraction(3, 2), 4):
                             pts = enumerate_parallelepiped(a, p, gamma)
                             assert pts == self.brute(a, p, gamma)
+                            assert lattice.count(p, gamma) == len(pts)
+                            if pts:
+                                assert pts == [(y,) for y in range(pts[0][0], pts[-1][0] + 1)]
 
     def test_matches_membership_oracle_3x3(self):
         # integer form of the membership test: A^{-1} y = adj(A) y / det(A)
@@ -307,6 +384,108 @@ class TestEnumerateParallelepiped:
             pts = enumerate_parallelepiped(a, p, gamma)
             assert pts == expect
             assert len(pts) <= (2 * gamma + 1) ** 3 * abs(d)
+
+
+class TestLatticeArray:
+    """ParallelepipedLattice.points (one numpy array) and count against the
+    tuple reference ref_points and the membership oracle."""
+
+    brute = TestEnumerateParallelepiped.brute
+
+    def check(self, a, p, gamma, oracle=True):
+        lattice = ParallelepipedLattice(a)
+        want = ref_points(a, p, gamma)
+        if oracle:
+            assert want == self.brute(a, p, gamma)
+        got = lattice.points(p, gamma)
+        assert got.shape == (len(want), a.cols)
+        assert list(map(tuple, got.tolist())) == want
+        assert lattice.count(p, gamma) == len(want)
+        return got
+
+    def test_negative_determinants(self):
+        cases = [
+            [[-3]],
+            [[-1]],
+            [[0, 1], [1, 0]],
+            [[1, 2], [3, 4]],
+            [[2, 1], [1, -2]],
+            [[-2, 0], [0, 3]],
+            [[-1, -1, 0], [0, 1, 1], [1, 0, 1]],
+        ]
+        centres = [Fraction(0), Fraction(1, 3), Fraction(-5, 2), Fraction(7, 4)]
+        for rows in cases:
+            a = IntMat.from_rows(rows)
+            assert det(a) < 0
+            n = a.cols
+            for k, gamma in enumerate((0, Fraction(1, 2), 1, Fraction(3, 2))):
+                if n == 3 and gamma > Fraction(1, 2):
+                    continue  # keeps the oracle's scan small
+                p = [centres[(k + j) % len(centres)] for j in range(n)]
+                self.check(a, p, gamma)
+
+    def test_non_diagonal_smith_forms(self):
+        # Smith forms (2, 4) and (2, 2, 4) of non-diagonal matrices: several
+        # invariant factors above 1 and nontrivial transforms
+        for rows, factors in (
+            ([[6, 4], [4, 4]], [2, 4]),
+            ([[2, 2, 0], [0, 2, 2], [2, 0, 2]], [2, 2, 4]),
+            ([[4, 6], [4, 4]], [2, 4]),
+        ):
+            a = IntMat.from_rows(rows)
+            dec = snf(a)
+            assert [dec.S.entries[i][i] for i in range(a.cols)] == factors
+            for p, gamma in (
+                ([0] * a.cols, 1),
+                ([Fraction(1, 2), Fraction(-1, 3), 2][: a.cols], Fraction(1, 2)),
+                ([Fraction(5, 4), 0, Fraction(-3, 2)][: a.cols], 1),
+            ):
+                self.check(a, p, gamma, oracle=a.cols < 3 or gamma < 1)
+
+    def test_gamma_zero_and_empty_boxes(self):
+        a = IntMat.from_rows([[2, 1], [1, -2]])
+        # x = A^{-1} (1, 0) = (2/5, 1/5): a zero-radius box holds one point
+        got = self.check(a, [Fraction(2, 5), Fraction(1, 5)], 0)
+        assert got.tolist() == [[1, 0]]
+        for rows, p, gamma in (
+            ([[2]], [Fraction(1, 4)], 0),
+            ([[2, 0], [0, 2]], [Fraction(1, 2), Fraction(1, 3)], 0),
+            ([[2, 1], [1, -2]], [Fraction(1, 10), Fraction(1, 10)], Fraction(1, 20)),
+            ([[-3]], [Fraction(1, 7)], Fraction(1, 8)),
+        ):
+            got = self.check(IntMat.from_rows(rows), p, gamma)
+            assert got.shape == (0, len(rows))
+
+    def test_int64_limit(self):
+        # bound_i = sum_j |A_ij| * (|p_j| + gamma + 1): int64 below 2^62,
+        # dtype object from 2^62 on, exact either way
+        eye = IntMat.identity(2)
+        top = 2**62
+        for p, gamma, dtype in (
+            ([top - 2, 0], 0, np.int64),
+            ([top - 1, 0], 0, object),
+            ([top, -top], 1, object),
+            ([-(top - 3), 5], 1, np.int64),
+        ):
+            got = self.check(eye, p, gamma, oracle=False)
+            assert got.dtype == dtype
+        # det -3 and an entry near 2^62, either side of the bound
+        for entry, gamma, dtype in ((2**60, 1, np.int64), (2**61, 1, object)):
+            a = IntMat.from_rows([[entry, 3], [1, 0]])
+            assert det(a) == -3
+            got = self.check(a, [0, 0], gamma, oracle=False)
+            assert got.dtype == dtype and len(got) == 21
+        unimodular = IntMat.from_rows([[top + 1, top], [1, 1]])
+        got = self.check(unimodular, [Fraction(1, 3), 0], 1, oracle=False)
+        assert got.dtype == object
+
+    def test_rejects_bad_boxes(self):
+        lattice = ParallelepipedLattice(IntMat.from_rows([[2, 1], [1, -2]]))
+        for p, gamma in (([0], 1), ([0, 0], -1)):
+            with pytest.raises(DimensionError):
+                lattice.count(p, gamma)
+            with pytest.raises(DimensionError):
+                lattice.points(p, gamma)
 
 
 class TestMaxDetSubmatrix:
