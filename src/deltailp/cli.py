@@ -150,12 +150,16 @@ def _solve_cf_local(inst: CanonicalInstance, require_local: bool) -> SolveOutcom
         if lp.status == "unbounded":
             return SolveOutcome(status="unbounded", certificate={"stage": "lp"})
         base = lp.base
-    if require_local and not locality_test(inst, base):
-        raise ValueError(
-            "locality condition fails at the optimal LP base; "
-            "the local path cannot certify a global optimum"
-        )
-    return solve_local(inst, base)
+    out = solve_local(inst, base)
+    if require_local:
+        # an unbounded corner carries no verdict, so the test runs on its own
+        local = out.certificate["local"] if out.status == "optimal" else locality_test(inst, base)
+        if not local:
+            raise ValueError(
+                "locality condition fails at the optimal LP base; "
+                "the local path cannot certify a global optimum"
+            )
+    return out
 
 
 def _knapsack_data(inst) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -449,7 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="auto",
     )
     s.add_argument("--variant", choices=["queue", "binarized"], default="queue")
-    s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_solve)
 
     r = sub.add_parser("reduce", help="convert between problem forms")

@@ -6,15 +6,14 @@
   Residues live in ``StandardInstance.group``, the factors of S with
   modulus > 1; a Z_1 factor constrains nothing and is not carried.
   Two equivalent variants on one dense layer table: "queue" takes window
-  minima along the path/cycle decomposition of each layer graph
-  (:func:`sliding_min_path` / :func:`sliding_min_cycle` are list adapters
-  over the same kernel); "binarized" compresses each per-variable window
-  into O(log) 0/1 arcs via :func:`binary_decomposition`.  Both share one
-  backward witness walk.
+  minima along the path/cycle decomposition of each layer graph;
+  "binarized" compresses each per-variable window into O(log) 0/1 arcs
+  via :func:`binary_decomposition`.  Both share one backward witness walk.
 - :func:`solve_ilp_sf_unbounded` — unbounded instances with c >= 0.  At
   m = 1 a doubling DP over discrepancy-sized state windows combines two
   half solutions per level; level i covers solutions with l1 norm up to
-  (6/5)^i.  Each level is one numpy array over (window point, residue);
+  (6/5)^i.  Its window radius is 4 * mu with mu = 12 at every m = 1
+  instance.  Each level is one numpy array over (window point, residue);
   unreachable entries hold big = 2^max(60, bitlen(max(c) * 2^rho)), which
   exceeds every reachable value, so the tables are int64 when big = 2^60
   (big + big cannot overflow) and exact Python ints (dtype object)
@@ -27,6 +26,12 @@
   homogeneous solution exists.  :func:`solve_ilp_sf_unbounded` does not
   call it: it requires c >= 0, and with x >= 0 that bounds the objective
   below by 0, so no such ray exists there.
+
+Each solver call finds the maximum-|det| m x m column base B of A once,
+with one exact enumeration of the m x m minors (the m >= 2 box route's
+bounded solve finds it again).  For A of full row rank |det B| is Delta(A),
+the largest m x m minor, so the Delta-based bounds (chi, the
+recession-cone budget) read it off B, and B's lattice holds the DP states.
 
 DP values are (cost, l1) pairs compared lexicographically in the queue
 variant, so witnesses are deterministic; the binarized variant tracks
@@ -57,16 +62,10 @@ Otherwise the same code runs on dtype object, exact Python ints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
-from .intlinalg import (
-    IntMat,
-    ParallelepipedLattice,
-    inverse_times,
-    max_det_submatrix,
-    minor_stats,
-)
+from .intlinalg import IntMat, ParallelepipedLattice, max_det_submatrix
 from .lp import solve_lp
 from .model import (
     CapExceeded,
@@ -86,21 +85,9 @@ _PAD_CELLS = 1 << 16  # block budget of the doubling step, in entries
 # _OBJECT_CELL times.  Above it solve_bilp_sf raises CapExceeded, exit 5.
 _DP_CELLS = 1 << 23
 _OBJECT_CELL = 8
-
-
-@dataclass(frozen=True)
-class MuParams:
-    """Discrepancy-window parameters of the unbounded doubling DP."""
-
-    base: tuple[int, ...]
-    base_det: int
-    kappa: Fraction
-    eta_m_sq: int  # eta_m = 12 * sqrt(m), stored squared to stay exact
-    mu: int
-
-    @property
-    def radius(self) -> int:
-        return 4 * self.mu
+# mu of the m = 1 doubling DP, whose windows have radius 4 * mu; always 12
+# there (see solve_ilp_sf_unbounded)
+_MU = 12
 
 
 def _combine(v, cost_shift, l1_shift):
@@ -235,54 +222,6 @@ def _binarized_step(prev, lay, cost: int, lim: int):
     return out
 
 
-def _list_min(values: list, cost, lower: int, upper: int, cyclic: bool) -> list:
-    """:func:`_queue_step` on one chain of list values (see the adapters)."""
-    import numpy as np
-
-    l = len(values)
-    if l == 0:
-        return []
-    pairs = any(isinstance(v, tuple) for v in values)
-    # l1 parts (>= 0) stay below K: each gains |t| < l
-    K = 1 << (max(v[1] for v in values if v is not None) + l).bit_length() if pairs else 1
-    packed = [None if v is None else (v[0] * K + v[1] if pairs else v) for v in values]
-    reach = l * (abs(cost) * K + 1)
-    top = max((abs(v) for v in packed if v is not None), default=0) + reach
-    lim, dtype = _value_range(top, reach)
-    prev = np.array([2 * lim if v is None else v for v in packed] + [2 * lim], dtype=dtype)
-    chain = np.arange(l)
-    lay = _layout(chain, chain, l, cyclic, lower, upper)
-    out = _queue_step(prev, lay, cost, K, 1 if pairs else 0, lim)
-    return [
-        None if v >= lim else (divmod(int(v), K) if pairs else int(v)) for v in out
-    ]
-
-
-def sliding_min_cycle(values: list, cost, capacity: int) -> list:
-    """out[i] = min over t in [0, capacity] of values[(i - t) mod l] + cost*t.
-
-    values entries are integers, (cost, l1) pairs, or None (+infinity); the
-    l1 component of pair values grows by t.  A list adapter over the block
-    minimum the bounded DP runs (one cycle, doubled ahead of itself); t is
-    clamped to the cycle length - 1, which is exact for cost >= 0.
-    """
-    if cost < 0:
-        raise ValueError("cycle relaxation requires a nonnegative cost")
-    if capacity < 0:
-        raise ValueError("capacity must be nonnegative")
-    return _list_min(values, cost, 0, capacity, True)
-
-
-def sliding_min_path(values: list, cost, lower: int, upper: int) -> list:
-    """out[i] = min over t in [lower, upper], i - l < t <= i, of
-    values[i - t] + cost*t; value conventions as in sliding_min_cycle
-    (pair values gain |t| on the l1 component).  A list adapter over the
-    block minimum the bounded DP runs, one pass per sign of t."""
-    if lower > upper:
-        raise ValueError("empty variable window")
-    return _list_min(values, cost, lower, upper, False)
-
-
 def binary_decomposition(alpha: int, beta: int) -> list[int]:
     """Nonnegative weights s(i) such that alpha + subset sums of s(i) cover
     every integer of [alpha, beta] and nothing outside it.
@@ -313,10 +252,10 @@ def _steps(instance: StandardInstance) -> list:
     return list(zip(instance.A.transpose().entries, instance.group_columns))
 
 
-def _default_chi(instance: StandardInstance) -> int:
+def _default_chi(instance: StandardInstance, delta: int) -> int:
+    """The Delta-based proximity bound, at least 1; delta = Delta(A)."""
     from .bounds import chi_bound
 
-    delta = minor_stats(instance.A).delta if instance.A is not None else 1
     val = chi_bound(
         instance.m, "delta", delta=delta, det_s=abs(instance.det_s)
     )
@@ -373,18 +312,22 @@ def _target(instance: StandardInstance, shift: list[int]) -> tuple:
     return b_target, instance.group.sub(instance.group_target, instance.residue(shift))
 
 
-def _column_base(A: IntMat) -> tuple[tuple[int, ...], int]:
-    """Maximum-determinant m x m column submatrix (indices, |det|)."""
-    cols, absdet = max_det_submatrix(A.transpose(), mode="exact")
-    return cols, absdet
+def _base(instance: StandardInstance) -> tuple[tuple[int, ...], int]:
+    """(cols, Delta): the maximum-|det| m x m column base of A and its |det|,
+    which is Delta(A), the largest m x m minor.  ((), 1) when m = 0; raises
+    RankError when A does not have full row rank."""
+    if instance.A is None:
+        return (), 1
+    return max_det_submatrix(instance.A.transpose(), mode="exact")
 
 
-def _state_lattice(instance: StandardInstance) -> ParallelepipedLattice | None:
-    """Lattice of the max-det column base B; its points in the box of
+def _state_lattice(
+    instance: StandardInstance, cols: tuple[int, ...]
+) -> ParallelepipedLattice | None:
+    """Lattice of the column base B = A[:, cols]; its points in the box of
     radius H are a superset of {A x : ||x||_1 <= H}.  None when m = 0."""
     if instance.A is None:
         return None
-    cols, _ = _column_base(instance.A)
     return ParallelepipedLattice(instance.A.submatrix(list(range(instance.m)), list(cols)))
 
 
@@ -472,8 +415,9 @@ def _chains(coords, digits, moduli, strides, a_col, g_col):
     return order, np.arange(len(order)) % length, length, True
 
 
-def _layer_dp(instance, steps, windows, target, radius, variant):
-    """Dense layered DP over the states (lattice point, residue code).
+def _layer_dp(instance, cols, steps, windows, target, radius, variant):
+    """Dense layered DP over the states (lattice point, residue code), the
+    points being those of the lattice of the column base cols.
 
     Returns (lookup, value): lookup(k, (b, r)) is the value of state (b, r)
     after the first k columns, None when b is off the lattice or the state
@@ -484,7 +428,7 @@ def _layer_dp(instance, steps, windows, target, radius, variant):
     import numpy as np
 
     n, m, grp = instance.n, instance.m, instance.group
-    lattice = _state_lattice(instance)
+    lattice = _state_lattice(instance, cols)
     origin = (0,) * m
     n_pts = lattice.count(origin, radius) if lattice is not None else 1
     n_res = grp.order
@@ -598,8 +542,9 @@ def solve_bilp_sf(
         raise ValueError(f"unknown variant {variant!r}")
     if not all(is_finite(v) for v in instance.u):
         raise ValueError("bounded solver requires finite upper bounds")
+    cols, delta = _base(instance)
     if chi is None:
-        chi = _default_chi(instance)
+        chi = _default_chi(instance, delta)
     if chi <= 0:
         raise ValueError("proximity bound chi must be positive")
     steps = _steps(instance)
@@ -608,7 +553,7 @@ def solve_bilp_sf(
         return SolveOutcome.infeasible(certificate={"stage": "lp"})
     shift, windows, radius, target = pre
 
-    lookup, val = _layer_dp(instance, steps, windows, target, radius, variant)
+    lookup, val = _layer_dp(instance, cols, steps, windows, target, radius, variant)
     if val is None:
         return SolveOutcome.infeasible(
             certificate={"variant": variant, "radius": radius}
@@ -635,31 +580,6 @@ def _as_group_instance(instance: StandardInstance) -> GroupInstance:
     )
 
 
-def mu_params(A: IntMat) -> MuParams:
-    """Window parameters mu = ceil(eta_m * Delta_1(U)) with eta_m = 12*sqrt(m)
-    and A = B (I U) for the exact maximum-determinant column base B."""
-    m = A.rows
-    cols, absdet = _column_base(A)
-    b_mat = A.submatrix(list(range(m)), list(cols))
-    delta1 = Fraction(0)
-    for j in range(A.cols):
-        for f in inverse_times(b_mat, list(A.col(j))):
-            delta1 = max(delta1, abs(f))
-    kappa = Fraction(minor_stats(A).delta, absdet)
-    # smallest integer mu with mu^2 >= 144 * m * delta1^2
-    target = 144 * m * delta1 * delta1
-    mu = max(1, math.isqrt(math.ceil(target)))
-    while Fraction(mu * mu) < target:
-        mu += 1
-    return MuParams(
-        base=tuple(cols),
-        base_det=absdet,
-        kappa=kappa,
-        eta_m_sq=144 * m,
-        mu=mu,
-    )
-
-
 def detect_unbounded(
     instance: StandardInstance,
 ) -> tuple[bool, tuple[int, ...] | None]:
@@ -673,8 +593,7 @@ def detect_unbounded(
     if any(is_finite(v) for v in instance.u):
         raise ValueError("detection requires the unbounded variant")
     n, m = instance.n, instance.m
-    delta = minor_stats(instance.A).delta if instance.A is not None else 1
-    budget = (m + 1) * abs(instance.det_s) * delta
+    budget = (m + 1) * abs(instance.det_s) * _base(instance)[1]
     rows = instance.A.to_lists() if instance.A is not None else []
     a_ext = IntMat.from_rows(
         [r + [0] for r in rows] + [[1] * n + [1]]
@@ -717,12 +636,12 @@ def _doubling_rho(l1_bound: int) -> int:
     return rho
 
 
-def _unbounded_dp(instance, b_target, g_target, rho, params):
-    """Doubling DP for m = 1 (contiguous state windows); returns
-    (value, witness) or (None, None).
+def _unbounded_dp(instance, b_target, g_target, rho, base, radius):
+    """Doubling DP for m = 1 (contiguous state windows) over the 1 x 1
+    column base; returns (value, witness) or (None, None).
 
     Level i's window holds the y with |y / a - 2^i * b / (2^rho * a)| <=
-    radius (a the entry of the 1 x 1 base, b the target), i.e. |y - 2^i *
+    radius (a the entry of the base, b the target), i.e. |y - 2^i *
     b / 2^rho| <= radius * |a|, computed in integers from the centre 2^i * b
     over 2^rho; the lattice's count of the same box confirms that the
     window is one run of consecutive integers."""
@@ -735,7 +654,7 @@ def _unbounded_dp(instance, b_target, g_target, rho, params):
     r_index = {r: i for i, r in enumerate(residues)}
     radd = [[r_index[grp.add(a, b)] for b in residues] for a in residues]
     rsub = [[r_index[grp.sub(a, b)] for b in residues] for a in residues]
-    b_mat = instance.A.submatrix([0], list(params.base))
+    b_mat = instance.A.submatrix([0], list(base))
     lattice = ParallelepipedLattice(b_mat)
     pivot, y_t = b_mat.entries[0][0], b_target[0]
 
@@ -749,9 +668,9 @@ def _unbounded_dp(instance, b_target, g_target, rho, params):
     arrays: list = []
     for i in range(rho + 1):
         centre = y_t << i
-        first = -(-centre >> rho) - params.radius * abs(pivot)
-        last = (centre >> rho) + params.radius * abs(pivot)
-        count = lattice.count([Fraction(centre, pivot << rho)], params.radius)
+        first = -(-centre >> rho) - radius * abs(pivot)
+        last = (centre >> rho) + radius * abs(pivot)
+        count = lattice.count([Fraction(centre, pivot << rho)], radius)
         if count != last - first + 1:
             raise CertificateError("doubling window is not contiguous")
         lo.append(first)
@@ -869,8 +788,13 @@ def solve_ilp_sf_unbounded(
     and x >= 0 the objective is bounded below by 0, so the instance is
     never unbounded and no recession-cone test is run.  m = 0 is Gomory's
     group problem.  m = 1 runs the doubling DP from the proximity-based
-    recentering; rho overrides its depth.  Its tables are int64 when
-    max(c) * 2^rho < 2^60 and exact Python ints otherwise.  m >= 2 runs
+    recentering; rho overrides its depth.  Its windows have radius 4 * mu,
+    mu = ceil(eta_m * Delta_1(U)) with eta_m = 12 * sqrt(m), for A = B (I U)
+    and B the maximum-|det| column base.  At m = 1, B is the entry a_B of
+    largest |a_j|, so Delta_1(U) = max_j |a_j / a_B| = 1 and mu =
+    ceil(12 * sqrt(1) * 1) = 12: the radius is 48 on every instance.  Its
+    tables are int64 when max(c) * 2^rho < 2^60 and exact Python ints
+    otherwise.  m >= 2 runs
     :func:`solve_bilp_sf` on the proximity box u_k = max(0, ceil(x*_k)) +
     chi of the LP vertex x*, chi = (m+1)(n+1) * Delta * |det S|, with the
     smaller of its default proximity bound and sum(u) + 1; a CapExceeded
@@ -895,14 +819,14 @@ def solve_ilp_sf_unbounded(
     if lp.status != "optimal":
         raise CertificateError("LP relaxation with c >= 0 reported unbounded")
 
-    delta = minor_stats(instance.A).delta
+    cols, delta = _base(instance)
     chi = (m + 1) * (n + 1) * delta * abs(instance.det_s)
     if m >= 2:
         box = replace(
             instance, u=tuple(max(0, math.ceil(v)) + chi for v in lp.vertex)
         )
         # no two box points are further apart than sum(u) in l1
-        out = solve_bilp_sf(box, chi=min(_default_chi(box), sum(box.u) + 1))
+        out = solve_bilp_sf(box, chi=min(_default_chi(box, delta), sum(box.u) + 1))
         if out.status != "optimal":
             return out
         x, value, cert = list(out.x), out.value, {"box": chi, **out.certificate}
@@ -913,9 +837,8 @@ def solve_ilp_sf_unbounded(
         if rho is None:
             rho = _doubling_rho(max(l1_bound, 2))
         b_target, g_target = _target(instance, shift)
-        params = mu_params(instance.A)
-        cert = {"rho": rho, "mu": params.mu}
-        value, xprime = _unbounded_dp(instance, b_target, g_target, rho, params)
+        cert = {"rho": rho, "mu": _MU}
+        value, xprime = _unbounded_dp(instance, b_target, g_target, rho, cols, 4 * _MU)
         if value is None:
             return SolveOutcome.infeasible(certificate=cert)
         x = [a + b for a, b in zip(xprime, shift)]

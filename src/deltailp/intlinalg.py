@@ -203,6 +203,15 @@ def adjugate(M: IntMat) -> IntMat:
     return IntMat.from_rows(out)
 
 
+def unimodular_inverse(M: IntMat) -> IntMat:
+    """Exact inverse of a unimodular M: det(M) * adjugate(M), det = +-1.
+    Raises ValueError when |det(M)| != 1."""
+    d = det(M)
+    if abs(d) != 1:
+        raise ValueError("matrix is not unimodular")
+    return adjugate(M).scale(d)
+
+
 def _swap_cols(a: list[list[int]], i: int, j: int) -> None:
     for row in a:
         row[i], row[j] = row[j], row[i]
@@ -433,7 +442,7 @@ class ParallelepipedLattice:
         self.A = A
         decomp = snf(A)
         s_diag = [decomp.S.entries[i][i] for i in range(n)]
-        q_inv = adjugate(decomp.Q).scale(det(decomp.Q))  # exact inverse, det = +-1
+        q_inv = unimodular_inverse(decomp.Q)
         a = A.entries
         # Smith divisibility: every s_i divides s_n, so t = T / s_n with T integral
         self.top = top = s_diag[-1]
@@ -563,11 +572,10 @@ def max_det_submatrix(A: IntMat, mode: str = "exact") -> tuple[tuple[int, ...], 
     Exact mode enumerates all n-row subsets (desk scale only) and returns
     the lexicographically smallest argmax.  Greedy mode starts from the
     first full-rank row set and repeatedly applies the best single row
-    exchange.  Returns (row indices, achieved |det|).
+    exchange.  Returns (row indices, achieved |det|); raises RankError when
+    A does not have full column rank.
     """
     n = A.cols
-    if A.rows < n or rank(A) != n:
-        raise RankError("matrix does not have full column rank")
     if mode == "exact":
         best: tuple[int, ...] | None = None
         best_val = 0
@@ -575,11 +583,13 @@ def max_det_submatrix(A: IntMat, mode: str = "exact") -> tuple[tuple[int, ...], 
             v = abs(det(A.take_rows(ri)))
             if v > best_val:
                 best, best_val = ri, v
-        if best is None:  # unreachable after the rank check
-            raise RankError("no nonsingular row subset")
+        if best is None:  # every n x n minor vanishes
+            raise RankError("matrix does not have full column rank")
         return best, best_val
     if mode != "greedy":
         raise ValueError("mode must be 'exact' or 'greedy'")
+    if A.rows < n or rank(A) != n:
+        raise RankError("matrix does not have full column rank")
     base = _greedy_base(A)
     cur = abs(det(A.take_rows(base)))
     improved = True

@@ -27,11 +27,11 @@ from typing import Iterable, Sequence
 from .intlinalg import (
     IntMat,
     RankError,
-    adjugate,
     det,
     hnf,
     inverse_times,
     rank,
+    unimodular_inverse,
 )
 
 
@@ -385,7 +385,7 @@ class NormalizationRecord:
     t_diag: int
 
     def q_inverse(self) -> IntMat:
-        return adjugate(self.Q).scale(det(self.Q))
+        return unimodular_inverse(self.Q)
 
 
 def transform_point(
@@ -458,9 +458,8 @@ def normalize(
     row_perm = tuple(base[perm[i]] for i in range(n)) + tuple(
         i for i in range(a.rows) if i not in set(base)
     )
-    # A_new = A[row_perm] * Q_full^{-1}; Q_full is unimodular so its exact
-    # inverse is det(Q_full) * adjugate(Q_full)
-    q_inv = adjugate(q_full).scale(det(q_full))
+    # A_new = A[row_perm] * Q_full^{-1}; Q_full is unimodular
+    q_inv = unimodular_inverse(q_full)
     a_new = IntMat.from_rows([a.row(r) for r in row_perm]).mul(q_inv)
 
     # integer translation putting the base-row reference bounds into [0, diag)

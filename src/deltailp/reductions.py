@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .intlinalg import IntMat, adjugate, det, max_det_submatrix, snf
+from .intlinalg import IntMat, adjugate, det, max_det_submatrix, snf, unimodular_inverse
 from .model import (
     POS_INF,
     CanonicalInstance,
@@ -74,13 +74,6 @@ class ReductionMap:
         return self._apply(self.inv_matrix, self.inv_offset, y)
 
 
-def _unimodular_inverse(P: IntMat) -> IntMat:
-    d = det(P)
-    if abs(d) != 1:
-        raise ValueError("matrix is not unimodular")
-    return adjugate(P).scale(d)
-
-
 def _frac_rows(rows) -> tuple[Vec, ...]:
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
 
@@ -96,7 +89,7 @@ def cf_to_sf(src: CanonicalInstance) -> tuple[StandardInstance, ReductionMap]:
     if not all(is_finite(v) for v in src.b_l):
         raise ValueError("reduction requires finite lower bounds")
     s = snf(src.A)
-    pp = _unimodular_inverse(s.P)  # src.A = pp^{-1} [S; 0] Q^{-1}
+    pp = unimodular_inverse(s.P)  # src.A = pp^{-1} [S; 0] Q^{-1}
     diag = [s.S.entries[i][i] for i in range(n)]
 
     pbl = pp.matvec(src.b_l)
@@ -209,7 +202,7 @@ def sf_to_cf(
         stack_rows += src.G.to_lists()
         rhs += list(src.g)
     P = IntMat.from_rows(stack_rows)
-    pinv = _unimodular_inverse(P)
+    pinv = unimodular_inverse(P)
     t = pinv.matvec(rhs)  # P^{-1} (b; g)
 
     identity_map = ReductionMap(
@@ -319,7 +312,7 @@ def classic_to_generalized(
     ptilde = s.Q.transpose()  # m x m unimodular left factor
     qtilde = s.P.transpose()  # n x n unimodular right factor
     sdiag = [s.S.entries[i][i] for i in range(m)]
-    pb = _unimodular_inverse(ptilde).matvec(b)
+    pb = unimodular_inverse(ptilde).matvec(b)
     bprime = []
     for i in range(m):
         if pb[i] % sdiag[i] != 0:

@@ -28,7 +28,16 @@ from itertools import combinations
 from typing import Sequence
 
 from .groupmin import cyclic_minplus_solve, gomory_solve
-from .intlinalg import IntMat, adjugate, det, inverse_times, minor_stats, rank, snf
+from .intlinalg import (
+    IntMat,
+    adjugate,
+    det,
+    inverse_times,
+    minor_stats,
+    rank,
+    snf,
+    unimodular_inverse,
+)
 from .model import (
     POS_INF,
     CanonicalInstance,
@@ -94,7 +103,7 @@ def _corner_max(a_b: IntMat, b_b: Sequence[int], c: Sequence[int]):
     # integrality of x = A_B^{-1}(b_B - y) as a residue condition on y
     fact = snf(a_b)
     moduli = tuple(fact.S.entries[i][i] for i in range(n))
-    inv_p = adjugate(fact.P).scale(det(fact.P))  # unimodular inverse
+    inv_p = unimodular_inverse(fact.P)
     grp = GroupSpec(moduli)
     gens = tuple(
         tuple(inv_p.entries[k][i] % moduli[k] for k in range(n)) for i in range(n)
@@ -117,30 +126,25 @@ def _corner_max(a_b: IntMat, b_b: Sequence[int], c: Sequence[int]):
     return z, y, v, delta_b, out.value
 
 
-def locality_test(
-    instance: CanonicalInstance,
-    base: Sequence[int],
-    v: Sequence[Fraction] | None = None,
-) -> bool:
+def _slacks(instance: CanonicalInstance, idx: tuple[int, ...], v) -> list[Fraction]:
+    """b_i - a_i v on the non-base rows i, v the base vertex."""
+    a = instance.A
+    return [
+        Fraction(instance.b_r[i]) - sum(Fraction(aik) * vk for aik, vk in zip(a.entries[i], v))
+        for i in range(a.rows)
+        if i not in idx
+    ]
+
+
+def locality_test(instance: CanonicalInstance, base: Sequence[int]) -> bool:
     """Sufficient condition for the corner problem at ``base`` to solve the
     full one-sided problem for every objective in cone(A_B^T): every
     non-base slack at the base vertex is at least Delta - 1."""
     _require_one_sided(instance)
     idx = _check_base(instance, base)
-    a = instance.A
-    if v is None:
-        v = inverse_times(a.take_rows(list(idx)), [instance.b_r[i] for i in idx])
-    delta = minor_stats(a).delta
-    in_base = set(idx)
-    for i in range(a.rows):
-        if i in in_base:
-            continue
-        slack = Fraction(instance.b_r[i]) - sum(
-            Fraction(aik) * vk for aik, vk in zip(a.entries[i], v)
-        )
-        if slack < delta - 1:
-            return False
-    return True
+    v = inverse_times(instance.A.take_rows(list(idx)), [instance.b_r[i] for i in idx])
+    delta = minor_stats(instance.A).delta
+    return all(s >= delta - 1 for s in _slacks(instance, idx, v))
 
 
 def solve_local(instance: CanonicalInstance, base: Sequence[int]) -> SolveOutcome:
@@ -149,7 +153,8 @@ def solve_local(instance: CanonicalInstance, base: Sequence[int]) -> SolveOutcom
 
     The outcome is a global optimum of the full problem whenever
     :func:`locality_test` passes and c lies in cone(A_B^T); otherwise it is
-    the corner optimum only.
+    the corner optimum only.  An optimal outcome's certificate carries that
+    test's verdict at ``base`` as ``local``.
     """
     _require_one_sided(instance)
     idx = _check_base(instance, base)
@@ -174,11 +179,7 @@ def solve_local(instance: CanonicalInstance, base: Sequence[int]) -> SolveOutcom
     ]
     az = a.matvec(list(z))
     resid = [instance.b_r[i] - az[i] for i in range(a.rows)]
-    slack_n = [
-        Fraction(instance.b_r[i])
-        - sum(Fraction(a.entries[i][k]) * v[k] for k in range(n))
-        for i in notbase
-    ]
+    slack_n = _slacks(instance, idx, v)
     # witness invariant of the group optimum: the move stays small on the
     # rows that were dropped
     assert all(abs(move[i]) <= delta - 1 for i in notbase)
@@ -206,7 +207,7 @@ def solve_local(instance: CanonicalInstance, base: Sequence[int]) -> SolveOutcom
         "slack_l0": y_l0,
         "slack_l1": y_l1,
         "slack_linf": y_linf,
-        "local": locality_test(instance, idx, v),
+        "local": all(s >= delta - 1 for s in slack_n),
         "checks": checks,
     }
     value = sum(ci * zi for ci, zi in zip(instance.c, z))

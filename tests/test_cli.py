@@ -171,8 +171,8 @@ class TestSolve:
         assert "Traceback" not in captured.out + captured.err
 
     def test_deterministic_output(self, capsys, cf_file):
-        _, a = run(capsys, "solve", cf_file, "--seed", "9")
-        _, b = run(capsys, "solve", cf_file, "--seed", "9")
+        _, a = run(capsys, "solve", cf_file)
+        _, b = run(capsys, "solve", cf_file)
         assert a == b
 
     def test_knapsack_and_subset_sum(self, capsys, knapsack_file):

@@ -13,10 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deltailp import dpsolve
+from deltailp import cli, dpsolve, intlinalg
 from deltailp.dpsolve import (
     _block_min,
-    _column_base,
     _default_chi,
     _layer_dp,
     _layout,
@@ -26,22 +25,23 @@ from deltailp.dpsolve import (
     _witness,
     binary_decomposition,
     detect_unbounded,
-    mu_params,
-    sliding_min_cycle,
-    sliding_min_path,
     solve_bilp_sf,
     solve_ilp_sf_unbounded,
 )
 from deltailp.intlinalg import (
     IntMat,
+    RankError,
     det,
     inverse_times,
+    max_det_submatrix,
     minor_stats,
     rank,
 )
 from deltailp.lp import solve_lp
 from deltailp.model import (
     POS_INF,
+    NEG_INF,
+    CanonicalInstance,
     CapExceeded,
     StandardInstance,
     is_feasible,
@@ -117,12 +117,19 @@ def random_sf(rng, n, m):
     return sf(n, m, a_rows, g_rows, s_diag, b, g, u, c)
 
 
+def column_base(instance):
+    """Columns of the maximum-|det| m x m base of A; () when m = 0."""
+    if instance.A is None:
+        return ()
+    return max_det_submatrix(instance.A.transpose())[0]
+
+
 def state_points(instance, radius):
     """Superset of {A x : ||x||_1 <= radius}: the reference enumeration of
     the lattice of the max-det column base (all of Z^0 when m = 0)."""
     if instance.A is None:
         return [()]
-    cols, _ = _column_base(instance.A)
+    cols = column_base(instance)
     b_mat = instance.A.submatrix(list(range(instance.m)), list(cols))
     return ref_points(b_mat, [0] * instance.m, radius)
 
@@ -254,28 +261,57 @@ def ref_queue_dp(instance, steps, windows, target, radius):
     return (lambda k, s: layers[k].get(s)), layers[-1].get(target)
 
 
+def chain_min(values, cost, lower, upper, cyclic):
+    """One chain of list values through _layout and _queue_step: out[i] =
+    min over t in [lower, upper] of values[i - t] + cost * t, None being
+    +infinity.  A path reads only i - l < t <= i; a cycle (lower = 0) reads
+    values[(i - t) mod l] with t clamped to l - 1.  (cost, l1) pairs gain |t|
+    on l1 (packed with l1w = 1), plain costs are packed alone (l1w = 0)."""
+    pairs = any(isinstance(v, tuple) for v in values)
+    K, lim = (256 if pairs else 1), 1 << 61  # l1 + |t| < 256 in these tests
+    prev = np.array(
+        [2 * lim if v is None else (v[0] * K + v[1] if pairs else v) for v in values]
+        + [2 * lim],
+        dtype=np.int64,
+    )
+    chain = np.arange(len(values))
+    lay = _layout(chain, chain, len(values), cyclic, lower, upper)
+    out = _queue_step(prev, lay, cost, K, 1 if pairs else 0, lim)
+    return [
+        None if v >= lim else (divmod(v, K) if pairs else v) for v in out.tolist()
+    ]
+
+
+def cycle_min(values, cost, capacity):
+    return chain_min(values, cost, 0, capacity, True)
+
+
+def path_min(values, cost, lower, upper):
+    return chain_min(values, cost, lower, upper, False)
+
+
 class TestSlidingMin:
     def test_cycle_capacity_zero(self):
         vals = [3, None, 1]
-        assert sliding_min_cycle(vals, 5, 0) == vals
+        assert cycle_min(vals, 5, 0) == vals
 
     def test_cycle_example(self):
-        assert sliding_min_cycle([0, 10, 10], 1, 2) == [0, 1, 2]
+        assert cycle_min([0, 10, 10], 1, 2) == [0, 1, 2]
 
     def test_cycle_all_equal(self):
-        assert sliding_min_cycle([4, 4, 4, 4], 2, 3) == [4, 4, 4, 4]
+        assert cycle_min([4, 4, 4, 4], 2, 3) == [4, 4, 4, 4]
 
     def test_path_identity_window(self):
         vals = [2, 0, None, 5]
-        assert sliding_min_path(vals, 3, 0, 0) == vals
+        assert path_min(vals, 3, 0, 0) == vals
 
     def test_path_example(self):
-        assert sliding_min_path([0, None, None], 2, 0, 2) == [0, 2, 4]
+        assert path_min([0, None, None], 2, 0, 2) == [0, 2, 4]
 
     def test_path_negative_window(self):
         # value at i may come from later indices via negative t
         vals = [None, None, None, 0]
-        out = sliding_min_path(vals, 1, -3, 3)
+        out = path_min(vals, 1, -3, 3)
         assert out == [-3, -2, -1, 0]
 
     def naive(self, vals, cost, lower, upper, cyclic):
@@ -320,13 +356,13 @@ class TestSlidingMin:
             cost = rng.randint(0, 4)
             if rng.random() < 0.5:
                 cap = rng.randint(0, 2 * l if rng.random() < 0.5 else 3)
-                assert sliding_min_cycle(vals, cost, cap) == self.naive(
+                assert cycle_min(vals, cost, cap) == self.naive(
                     vals, cost, 0, min(cap, l - 1), True
                 )
             else:
                 lo = rng.randint(-l - 2, 2)
                 hi = rng.randint(lo, lo + 6 if rng.random() < 0.5 else l + 2)
-                assert sliding_min_path(vals, cost, lo, hi) == self.naive(
+                assert path_min(vals, cost, lo, hi) == self.naive(
                     vals, cost, lo, hi, False
                 )
 
@@ -562,8 +598,11 @@ class TestLayerReference:
             return None
         _, windows, radius, target = pre
         ref_lookup, ref_val = ref_queue_dp(inst, steps, windows, target, radius)
-        lookup, val = _layer_dp(inst, steps, windows, target, radius, "queue")
-        bin_lookup, bin_val = _layer_dp(inst, steps, windows, target, radius, "binarized")
+        cols = column_base(inst)
+        lookup, val = _layer_dp(inst, cols, steps, windows, target, radius, "queue")
+        bin_lookup, bin_val = _layer_dp(
+            inst, cols, steps, windows, target, radius, "binarized"
+        )
         assert val == ref_val
         assert bin_val == (None if ref_val is None else ref_val[0])
         if lookup is None:  # the target is off the lattice
@@ -623,7 +662,7 @@ class TestLayerReference:
             inst = layer_instance(rng, n, m, moduli, set())
             if rank(inst.A) < m:
                 continue
-            cols, absdet = _column_base(inst.A)
+            cols, absdet = max_det_submatrix(inst.A.transpose())
             if det(inst.A.submatrix(list(range(m)), list(cols))) > 0:
                 rows = inst.A.to_lists()
                 rows[0] = [-v for v in rows[0]]
@@ -656,7 +695,9 @@ class TestLayerReference:
             if pre is None:
                 continue
             _, windows, radius, target = pre
-            lookup, _ = _layer_dp(inst, steps, windows, target, radius, "queue")
+            lookup, _ = _layer_dp(
+                inst, column_base(inst), steps, windows, target, radius, "queue"
+            )
             if lookup is None:
                 continue
             pts = state_points(inst, radius)
@@ -679,7 +720,9 @@ class TestLayerReference:
         _, windows, radius, _ = _recenter(inst, 4, steps)
         far = ((10**6,), ())
         for variant in ("queue", "binarized"):
-            assert _layer_dp(inst, steps, windows, far, radius, variant) == (None, None)
+            assert _layer_dp(
+                inst, column_base(inst), steps, windows, far, radius, variant
+            ) == (None, None)
         assert ref_queue_dp(inst, steps, windows, far, radius) == (None, None)
 
     def test_huge_lattice_coordinates(self):
@@ -734,16 +777,54 @@ class TestDefaultChi:
         # chi = 3 * Delta * |det S| for m = 1; a float would round it
         big = 2**53 + 1
         inst = sf(2, 1, [[1, 1]], [[0, 1]], [big], [0], [0], [1, 1], [1, 1])
-        chi = _default_chi(inst)
+        chi = _default_chi(inst, minor_stats(inst.A).delta)
         assert chi == 3 * big and isinstance(chi, int)
+
+
+def ref_mu(A):
+    """mu = ceil(eta_m * Delta_1(U)), eta_m = 12 * sqrt(m), for A = B (I U)
+    and B the exact maximum-|det| column base, evaluated with Fractions."""
+    m = A.rows
+    cols, _ = max_det_submatrix(A.transpose())
+    b_mat = A.submatrix(range(m), cols)
+    delta1 = max(abs(f) for j in range(A.cols) for f in inverse_times(b_mat, A.col(j)))
+    target = 144 * m * delta1 * delta1  # mu^2 >= eta_m^2 * Delta_1(U)^2
+    mu = max(1, math.isqrt(math.ceil(target)))
+    while mu * mu < target:
+        mu += 1
+    return mu
 
 
 class TestMuParams:
     def test_small_row(self):
-        p = mu_params(IntMat.from_rows([[2, 3]]))
-        assert p.base == (1,) and p.base_det == 3
-        assert p.kappa == 1
-        assert p.mu == 12 and p.radius == 48
+        assert ref_mu(IntMat.from_rows([[2, 3]])) == dpsolve._MU == 12
+        inst = sf(2, 1, [[2, 3]], [[1, 1]], [1], [12], [0], [POS_INF] * 2, [1, 1])
+        assert solve_ilp_sf_unbounded(inst).certificate["mu"] == 12
+
+    def test_one_row_mu_is_twelve(self):
+        # the 1 x 1 base is an entry of largest |a_j|, so |a_j / a_B| <= 1
+        # with equality at the base: mu = 12 on every nonzero row, with
+        # mixed signs and with ties in |a_j| between different signs
+        rng = random.Random(41)
+        seen, checked = set(), 0
+        for _ in range(240):
+            n = rng.randint(1, 6)
+            row = [rng.choice([-1, 1]) * rng.randint(0, 4) for _ in range(n)]
+            if rng.random() < 0.5:
+                row[rng.randrange(n)] = -max(row, key=abs)
+            if not any(row):
+                continue
+            top = max(map(abs, row))
+            if min(row) < 0 < max(row):
+                seen.add("mixed signs")
+            if sum(abs(v) == top for v in row) > 1:
+                seen.add("tie")
+            if top in row and -top in row:
+                seen.add("signed tie")
+            assert ref_mu(IntMat.from_rows([row])) == dpsolve._MU
+            checked += 1
+        assert checked >= 200
+        assert seen == {"mixed signs", "tie", "signed tie"}
 
 
 class TestDetectUnbounded:
@@ -792,15 +873,15 @@ def brute_min_unbounded(inst, l1_cap):
 # quadratic per level, so the tests run it at a shallow rho.
 
 
-def ref_unbounded_dp(instance, b_target, g_target, rho, params):
+def ref_unbounded_dp(instance, b_target, g_target, rho, base, radius):
     n, m = instance.n, instance.m
     grp = instance.group
-    b_mat = instance.A.submatrix(list(range(m)), list(params.base))
+    b_mat = instance.A.submatrix(list(range(m)), list(base))
     binv_b = inverse_times(b_mat, list(b_target))
     levels: list[dict] = []
     pts_sets = []
     for i in range(rho + 1):
-        pts_sets.append(set(level_points(b_mat, binv_b, i, rho, params.radius)))
+        pts_sets.append(set(level_points(b_mat, binv_b, i, rho, radius)))
 
     zero_b = (0,) * m
     d0: dict = {}
@@ -1100,8 +1181,9 @@ class TestUnboundedBoxRoute:
                 # the bounded DP runs with the smaller valid chi: the default
                 # bound or the box's l1 diameter sum(u) + 1
                 box = replace(inst, u=tuple(hi for _, hi in proximity_box(inst)))
-                chi = min(_default_chi(box), sum(box.u) + 1)
-                assert out.certificate["chi"] == chi < _default_chi(box)
+                default = _default_chi(box, minor_stats(inst.A).delta)
+                chi = min(default, sum(box.u) + 1)
+                assert out.certificate["chi"] == chi < default
         assert statuses.count("optimal") >= 4
 
     def test_m2_cap_exceeded_propagates(self, monkeypatch):
@@ -1109,6 +1191,102 @@ class TestUnboundedBoxRoute:
         monkeypatch.setattr(dpsolve, "_DP_CELLS", 10)
         with pytest.raises(CapExceeded):
             solve_ilp_sf_unbounded(inst)
+
+
+def count_calls(monkeypatch, names=("max_det_submatrix", "minor_stats")):
+    """Count the calls of intlinalg functions through every deltailp module
+    that binds them; returns the live {name: calls} dict."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        orig = getattr(intlinalg, name)
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("deltailp") and getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+class TestBaseOnce:
+    # Delta(A) is the |det| of the max-det column base, so each solve finds
+    # that base once and enumerates no minors besides
+    def test_bounded_default_chi(self, monkeypatch):
+        rng = random.Random(19)
+        counts = count_calls(monkeypatch)
+        solved = 0
+        for i in range(24):
+            m = 1 + i % 2
+            inst = layer_instance(rng, rng.randint(m, 4), m, (), set())
+            if rank(inst.A) < m:
+                continue
+            for key in counts:
+                counts[key] = 0
+            try:  # the default chi of m = 2 often exceeds the cell cap
+                out = solve_bilp_sf(inst, variant=("queue", "binarized")[i % 4 // 2])
+                solved += out.status == "optimal"
+            except CapExceeded:
+                pass
+            assert counts == {"max_det_submatrix": 1, "minor_stats": 0}
+        assert solved >= 8
+
+    def test_unbounded_m1(self, monkeypatch):
+        rng = random.Random(2024)
+        counts = count_calls(monkeypatch)
+        for det_s in (1, 2, 3):
+            inst = random_unbounded_m1(rng, 3, det_s)
+            for key in counts:
+                counts[key] = 0
+            out = solve_ilp_sf_unbounded(inst, rho=6)
+            if out.certificate.get("stage") != "lp":
+                assert counts == {"max_det_submatrix": 1, "minor_stats": 0}
+
+    def test_local_corner(self, monkeypatch):
+        counts = count_calls(monkeypatch)
+
+        def corner(rows, b, c):
+            a = IntMat.from_rows(rows)
+            return CanonicalInstance(A=a, b_l=(NEG_INF,) * a.rows, b_r=tuple(b), c=tuple(c))
+
+        tall = [[1, 0], [0, 1], [1, 2]]  # Delta = 2, corner at the LP base
+        square = [[2, 0], [1, 3]]  # the base is every row
+        cases = [  # (instance, require_local, outcome, minor_stats calls)
+            (corner(tall, (0, 0, 1), (1, 1)), True, "optimal", 1),  # local
+            (corner(tall, (0, 0, 0), (1, 1)), True, ValueError, 1),  # not local
+            (corner(tall, (0, 0, 0), (1, 1)), False, "optimal", 1),
+            (corner(tall, (0, 0, 0), (-1, 1)), True, "unbounded", 0),  # LP ray
+            (corner(square, (1, 2), (-1, 1)), True, "unbounded", 1),  # c off the cone
+            (corner(square, (1, 2), (-1, 1)), False, "unbounded", 0),
+        ]
+        for inst, require_local, want, calls in cases:
+            counts["minor_stats"] = 0
+            if want is ValueError:
+                with pytest.raises(ValueError, match="locality condition fails"):
+                    cli._solve_cf_local(inst, require_local)
+            else:
+                assert cli._solve_cf_local(inst, require_local).status == want
+            assert counts["minor_stats"] == calls
+
+
+class TestRankDeficient:
+    # a rank-deficient A is invalid input; the base enumeration refuses it
+    def test_explicit_chi_empty_lp(self):
+        inst = sf(2, 1, [[0, 0]], [[0, 1]], [1], [1], [0], [1, 1], [1, 1])
+        assert solve_lp(inst).status == "infeasible"
+        with pytest.raises(RankError, match="matrix does not have full column rank"):
+            solve_bilp_sf(inst, chi=3)
+
+    def test_cli_default_chi(self, capsys, tmp_path):
+        from deltailp.io import serialize_instance
+
+        inst = sf(3, 2, [[1, 1, 0], [2, 2, 0]], [[0, 0, 1]], [1], [2, 4], [0], [2, 2, 2], [1, 1, 1])
+        path = tmp_path / "r.json"
+        path.write_text(serialize_instance(inst))
+        assert cli.main(["solve", str(path)]) == cli.EXIT_INPUT
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == ["error: input", "error.detail: matrix does not have full column rank"]
 
 
 class TestCertificates:

@@ -24,6 +24,7 @@ from deltailp.intlinalg import (
     minor_stats,
     rank,
     snf,
+    unimodular_inverse,
 )
 
 
@@ -159,6 +160,30 @@ class TestAdjugate:
             m = random_mat(rng, 3, 3, 6)
             prod = m.mul(adjugate(m))
             assert prod == IntMat.identity(3).scale(det(m))
+
+
+class TestUnimodularInverse:
+    def test_inverts_both_signs(self):
+        # det = +1 and det = -1 (one row negated)
+        for rows in ([[2, 1], [1, 1]], [[-2, -1], [1, 1]], [[1, 2, 0], [0, 1, 3], [0, 0, 1]]):
+            m = IntMat.from_rows(rows)
+            inv = unimodular_inverse(m)
+            assert m.mul(inv) == inv.mul(m) == IntMat.identity(m.rows)
+
+    def test_smith_factors(self):
+        rng = random.Random(9)
+        for _ in range(20):
+            a = random_mat(rng, 4, 3, 5)
+            if rank(a) < 3:
+                continue
+            dec = snf(a)
+            for f in (dec.P, dec.Q):
+                assert f.mul(unimodular_inverse(f)) == IntMat.identity(f.rows)
+
+    def test_rejects_non_unimodular(self):
+        for rows in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[3]]):
+            with pytest.raises(ValueError, match="not unimodular"):
+                unimodular_inverse(IntMat.from_rows(rows))
 
 
 class TestHnf:
@@ -514,6 +539,14 @@ class TestMaxDetSubmatrix:
                 continue
             b, v = max_det_submatrix(a, "greedy")
             assert abs(det(a.take_rows(b))) == v > 0
+
+    def test_rank_deficient_raises(self):
+        # tall, with dependent columns or a zero column; and fewer rows than
+        # columns, where no n-row subset exists
+        for rows in ([[1, 2], [2, 4], [3, 6]], [[1, 0], [2, 0], [0, 0]], [[1, 2, 3]]):
+            for mode in ("exact", "greedy"):
+                with pytest.raises(RankError, match="matrix does not have full column rank"):
+                    max_det_submatrix(IntMat.from_rows(rows), mode)
 
 
 class TestPerpendicularIdentity:
