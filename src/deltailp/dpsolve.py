@@ -543,6 +543,14 @@ def solve_bilp_sf(
     if not all(is_finite(v) for v in instance.u):
         raise ValueError("bounded solver requires finite upper bounds")
     cols, delta = _base(instance)
+    return _solve_bounded(instance, cols, delta, chi, variant)
+
+
+def _solve_bounded(
+    instance: StandardInstance, cols: tuple[int, ...], delta: int, chi: int | None, variant: str
+) -> SolveOutcome:
+    """:func:`solve_bilp_sf` on a checked instance whose max-det column
+    base ``cols`` and Delta(A) = ``delta`` are already known."""
     if chi is None:
         chi = _default_chi(instance, delta)
     if chi <= 0:
@@ -825,8 +833,10 @@ def solve_ilp_sf_unbounded(
         box = replace(
             instance, u=tuple(max(0, math.ceil(v)) + chi for v in lp.vertex)
         )
-        # no two box points are further apart than sum(u) in l1
-        out = solve_bilp_sf(box, chi=min(_default_chi(box, delta), sum(box.u) + 1))
+        # no two box points are further apart than sum(u) in l1; the box
+        # keeps A, so it keeps its base
+        chi_box = min(_default_chi(box, delta), sum(box.u) + 1)
+        out = _solve_bounded(box, cols, delta, chi_box, "queue")
         if out.status != "optimal":
             return out
         x, value, cert = list(out.x), out.value, {"box": chi, **out.certificate}

@@ -1,11 +1,14 @@
 """Exact integer linear algebra.
 
-Everything in this module works on arbitrary-precision integers (and exact
-rationals where unavoidable); there is no floating point anywhere.  Provided
-operations: determinants via fraction-free elimination, adjugates, Hermite
-and Smith normal forms with explicit unimodular transforms, minor statistics
-(maximum / gcd / lcm of k-th order minors), enumeration of lattice points in
-a parallelepiped, and selection of a maximum-determinant row submatrix.
+Everything in this module works on arbitrary-precision integers; there is
+no floating point and no rational arithmetic anywhere.  One fraction-free
+(Bareiss) elimination gives determinants, ranks and :func:`cramer`, which
+solves M X = det(M) Y over the integers (X = adj(M) Y, so a rational
+inverse is an integer matrix over one denominator).  Also provided:
+Hermite and Smith normal forms with explicit unimodular transforms, minor
+statistics (maximum / gcd / lcm of k-th order minors), enumeration of
+lattice points in a parallelepiped, and selection of a maximum-determinant
+row submatrix.
 """
 
 from __future__ import annotations
@@ -134,82 +137,88 @@ class MinorStats:
     degenerate: bool
 
 
-def det(M: IntMat) -> int:
-    """Exact determinant by fraction-free (division-exact) elimination."""
-    if M.rows != M.cols:
-        raise DimensionError("determinant of a non-square matrix")
-    n = M.rows
-    a = [list(row) for row in M.entries]
+def _bareiss(
+    a: list[list[int]], width: int, jordan: bool = False, full: bool = False
+) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss 1968) elimination of the rows ``a`` in place,
+    pivoting in the first ``width`` columns.  Every updated entry is a minor
+    of the input, so each division by the previous pivot is exact; entries
+    at or left of the pivot column are left stale.  ``jordan`` also clears
+    the pivot rows above (fraction-free Gauss-Jordan).  Returns (pivots,
+    row-swap sign, last pivot or 1), or (r, sign, 0) at the first column
+    without a pivot when ``full``."""
+    rows = len(a)
+    cols = len(a[0])
+    r = 0
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
+    for j in range(width):
+        if a[r][j] == 0:
+            for p in range(r + 1, rows):
+                if a[p][j] != 0:
                     break
             else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
+                if full:
+                    return r, sign, 0
+                continue
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        top = a[r]
+        pivot = top[j]
+        for i in range(0 if jordan else r + 1, rows):
+            if i != r:
+                row = a[i]
+                f = row[j]
+                for k in range(j + 1, cols):
+                    row[k] = (row[k] * pivot - f * top[k]) // prev
         prev = pivot
-    return sign * a[n - 1][n - 1]
+        r += 1
+        if r == rows:
+            break
+    return r, sign, prev
+
+
+def det(M: IntMat) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination: after n - 1
+    pivots the last entry is the whole n x n minor."""
+    a = [list(row) for row in M.entries]
+    n = len(a)
+    if n != len(a[0]):
+        raise DimensionError("determinant of a non-square matrix")
+    _, sign, d = _bareiss(a, n - 1, False, True)
+    return sign * a[-1][-1] if d else 0
 
 
 def rank(M: IntMat) -> int:
-    """Exact rank by fraction-free (Bareiss) row echelon elimination: after
-    r pivots every remaining entry is an (r+1) x (r+1) minor, so each
-    division by the previous pivot is exact."""
-    a = [list(row) for row in M.entries]
-    r = 0
-    prev = 1
-    for j in range(M.cols):
-        pivot_row = next((i for i in range(r, M.rows) if a[i][j] != 0), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pivot = a[r][j]
-        for i in range(r + 1, M.rows):
-            f = a[i][j]
-            a[i] = [(v * pivot - f * w) // prev for v, w in zip(a[i], a[r])]
-        prev = pivot
-        r += 1
-        if r == M.rows:
-            break
-    return r
+    """Exact rank by fraction-free (Bareiss) row echelon elimination."""
+    return _bareiss([list(row) for row in M.entries], M.cols)[0]
 
 
-def adjugate(M: IntMat) -> IntMat:
-    """Adjugate matrix: M * adjugate(M) = det(M) * I, valid also for
-    singular M."""
-    if M.rows != M.cols:
-        raise DimensionError("adjugate of a non-square matrix")
+def cramer(M: IntMat, Y: IntMat) -> tuple[IntMat, int]:
+    """(X, d) with M X = d Y, d = det(M) and X integral, for nonsingular
+    square M: X = adj(M) Y, so cramer(M, I) is the adjugate.  One
+    fraction-free Gauss-Jordan pass over [M | Y]; raises RankError when M
+    is singular."""
     n = M.rows
-    if n == 1:
-        return IntMat.from_rows([[1]])
-    idx = list(range(n))
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows = idx[:i] + idx[i + 1 :]
-        for j in range(n):
-            cols = idx[:j] + idx[j + 1 :]
-            minor = det(M.submatrix(rows, cols))
-            # adjugate is the transposed cofactor matrix
-            out[j][i] = (-1) ** (i + j) * minor
-    return IntMat.from_rows(out)
+    if M.cols != n or Y.rows != n:
+        raise DimensionError("cramer needs a square M and n rows in Y")
+    a = [list(row) + list(y) for row, y in zip(M.entries, Y.entries)]
+    _, sign, d = _bareiss(a, n, True, True)
+    if d == 0:
+        raise RankError("singular matrix")
+    return IntMat(tuple(tuple(sign * v for v in row[n:]) for row in a)), sign * d
 
 
 def unimodular_inverse(M: IntMat) -> IntMat:
-    """Exact inverse of a unimodular M: det(M) * adjugate(M), det = +-1.
+    """Exact inverse of a unimodular M: det(M) * adj(M), det = +-1.
     Raises ValueError when |det(M)| != 1."""
-    d = det(M)
+    try:
+        adj, d = cramer(M, IntMat.identity(M.rows))
+    except RankError:
+        d = 0
     if abs(d) != 1:
         raise ValueError("matrix is not unimodular")
-    return adjugate(M).scale(d)
+    return adj.scale(d)
 
 
 def _swap_cols(a: list[list[int]], i: int, j: int) -> None:
@@ -292,8 +301,6 @@ def snf(A: IntMat) -> SnfResult:
     """Smith normal form A = P * [S; 0] * Q for full-column-rank A."""
     n = A.cols
     rows = A.rows
-    if rank(A) != n:
-        raise RankError("matrix does not have full column rank")
     w = [list(row) for row in A.entries]
     p = IntMat.identity(rows).to_lists()
     q = IntMat.identity(n).to_lists()
@@ -420,8 +427,8 @@ def delta_gcd(A: IntMat) -> int:
 
 class ParallelepipedLattice:
     """The integer points y with A^{-1} y in an axis box, for one nonsingular
-    square A decomposed once (det, Smith form, adjugate) and any number of
-    boxes.
+    square A decomposed once (det, Smith form, inverse Smith factor) and any
+    number of boxes.
 
     A^{-1} Z^n is the union of R = |det A| cosets t + Z^n, t in [0, 1)^n.
     Row k of ``t_num`` (shape (R, n)) holds coset k's t as integer
@@ -588,8 +595,6 @@ def max_det_submatrix(A: IntMat, mode: str = "exact") -> tuple[tuple[int, ...], 
         return best, best_val
     if mode != "greedy":
         raise ValueError("mode must be 'exact' or 'greedy'")
-    if A.rows < n or rank(A) != n:
-        raise RankError("matrix does not have full column rank")
     base = _greedy_base(A)
     cur = abs(det(A.take_rows(base)))
     improved = True
@@ -614,15 +619,3 @@ def max_det_submatrix(A: IntMat, mode: str = "exact") -> tuple[tuple[int, ...], 
             cur = best_val
             improved = True
     return tuple(base), cur
-
-
-def inverse_times(M: IntMat, y: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
-    """Exact M^{-1} y for nonsingular square M, via the adjugate."""
-    d = det(M)
-    if d == 0:
-        raise RankError("singular matrix")
-    adj = adjugate(M)
-    return tuple(
-        Fraction(sum(adj.entries[i][j] * Fraction(y[j]) for j in range(M.cols)), 1) / d
-        for i in range(M.rows)
-    )

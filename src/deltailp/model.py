@@ -19,20 +19,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .intlinalg import (
-    IntMat,
-    RankError,
-    det,
-    hnf,
-    inverse_times,
-    rank,
-    unimodular_inverse,
-)
+from .intlinalg import IntMat, RankError, det, hnf, rank, unimodular_inverse
 
 
 class _Infinity:

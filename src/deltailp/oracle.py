@@ -15,19 +15,16 @@ simplex, so the oracle shares no LP code with the solvers it checks.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .intlinalg import IntMat
 from .model import (
     CanonicalInstance,
     CapExceeded,
     GroupInstance,
-    StandardInstance,
     SolveOutcome,
     is_feasible,
     is_finite,

@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .intlinalg import IntMat, adjugate, det, max_det_submatrix, snf, unimodular_inverse
+from .intlinalg import IntMat, cramer, max_det_submatrix, snf, unimodular_inverse
 from .model import (
     POS_INF,
     CanonicalInstance,
+    CertificateError,
     NEG_INF,
     SolveOutcome,
     StandardInstance,
@@ -99,10 +100,8 @@ def cf_to_sf(src: CanonicalInstance) -> tuple[StandardInstance, ReductionMap]:
     gvec = [-pbl[i] for i in range(n)]
 
     base, _absdet = max_det_submatrix(src.A, mode="exact")
-    a_base = src.A.take_rows(base)
-    d_base = det(a_base)
+    adj, d_base = cramer(src.A.take_rows(base), IntMat.identity(n))
     sign = 1 if d_base > 0 else -1
-    adj = adjugate(a_base)
     chat0 = [0] * (n + m)
     for j, row_idx in enumerate(base):
         chat0[row_idx] = -sign * sum(
@@ -150,15 +149,15 @@ def cf_to_sf(src: CanonicalInstance) -> tuple[StandardInstance, ReductionMap]:
         Fraction(dsign[i] * src.b_l[i] - fshift[i]) for i in range(n + m)
     )
     # backward: x = A_B^{-1} (xhat_B + (b_l)_B), xhat = D(y - f)
+    # with A_B^{-1} = adj / d_base
     inv_rows = [[Fraction(0)] * (n + m) for _ in range(n)]
-    inv_off = [Fraction(0)] * n
     for k in range(n):
         for j, row_idx in enumerate(base):
-            coef = Fraction(adj.entries[k][j], d_base)
-            inv_rows[k][row_idx] = coef * dsign[row_idx]
-            inv_off[k] += coef * (
-                Fraction(dsign[row_idx] * fshift[row_idx]) - src.b_l[row_idx]
-            )
+            inv_rows[k][row_idx] = Fraction(adj.entries[k][j] * dsign[row_idx], d_base)
+    shift_b = [dsign[i] * fshift[i] - src.b_l[i] for i in base]
+    inv_off = [
+        Fraction(sum(q * v for q, v in zip(adj.entries[k], shift_b)), d_base) for k in range(n)
+    ]
     scale = Fraction(-abs(d_base))
     off_obj = -sum(Fraction(ci) * qi for ci, qi in zip(chat, offset))
     rmap = ReductionMap(
@@ -171,14 +170,12 @@ def cf_to_sf(src: CanonicalInstance) -> tuple[StandardInstance, ReductionMap]:
         objective_offset=off_obj,
         metadata={"base": base, "base_det": d_base, "flips": tuple(flips)},
     )
-    # algebraic consistency of the objective correspondence
+    # objective correspondence on each unit vector e_k, where the offset
+    # terms cancel: chat' D A e_k = scale * c_k
     for k in range(n):
-        e = [1 if j == k else 0 for j in range(n)]
-        lhs = sum(
-            Fraction(ci) * (sum(row[j] * e[j] for j in range(n)) - qi)
-            for ci, row, qi in zip(chat, matrix, offset)
-        )
-        assert lhs == scale * src.c[k] + off_obj
+        lhs = sum(ci * di * row[k] for ci, di, row in zip(chat, dsign, src.A.entries))
+        if lhs != -abs(d_base) * src.c[k]:
+            raise CertificateError("the reduced objective does not match the source objective")
     return dst, rmap
 
 
@@ -289,11 +286,11 @@ def sf_to_cf(
     # (the objective identity only holds on the affine space Ax = b)
     for j in range(d):
         x = [ahat[i][j] + t[i] for i in range(n)]
-        assert rmap.forward(x) == tuple(
-            1 if k == j else 0 for k in range(d)
-        )
+        if rmap.forward(x) != tuple(1 if k == j else 0 for k in range(d)):
+            raise CertificateError("the reduction does not map a pullback to its unit vector")
         v_src = sum(ci * xi for ci, xi in zip(src.c, x))
-        assert Fraction(c_cf[j]) == scale * v_src + off_obj
+        if c_cf[j] != scale * v_src + off_obj:
+            raise CertificateError("the reduced objective does not match the source objective")
     return dst, rmap
 
 

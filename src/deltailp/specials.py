@@ -18,6 +18,10 @@ solved exactly by the group DP.  On top of that primitive:
   DP fallback for knapsacks with small capacity.
 - :func:`locality_sampler` — empirical frequency of the locality
   condition over uniformly drawn right-hand sides.
+
+The arithmetic is integral: A_B^{-1} = adj / |det A_B| comes from one
+:func:`~deltailp.intlinalg.cramer` call, and the vertex, its slacks and
+their bounds are all scaled by |det A_B|.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from typing import Sequence
 from .groupmin import cyclic_minplus_solve, gomory_solve
 from .intlinalg import (
     IntMat,
-    adjugate,
+    RankError,
+    cramer,
     det,
-    inverse_times,
     minor_stats,
     rank,
     snf,
@@ -41,6 +45,7 @@ from .intlinalg import (
 from .model import (
     POS_INF,
     CanonicalInstance,
+    CertificateError,
     GroupInstance,
     GroupSpec,
     SolveOutcome,
@@ -49,10 +54,10 @@ from .model import (
 from .rng import stream
 
 
-def _norms(vec: Sequence[int | Fraction]):
+def _norms(vec: Sequence[int]):
     l0 = sum(1 for v in vec if v != 0)
-    l1 = sum(abs(Fraction(v)) for v in vec)
-    linf = max((abs(Fraction(v)) for v in vec), default=Fraction(0))
+    l1 = sum(abs(v) for v in vec)
+    linf = max((abs(v) for v in vec), default=0)
     return l0, l1, linf
 
 
@@ -78,28 +83,30 @@ def _check_base(instance: CanonicalInstance, base: Sequence[int]) -> tuple[int, 
     return idx
 
 
+def _inverse(a_b: IntMat) -> tuple[IntMat, int]:
+    """(adj, den) with A_B^{-1} = adj / den and den = |det A_B| > 0: the
+    adjugate times the sign of the determinant.  Raises RankError when A_B
+    is singular."""
+    adj, d = cramer(a_b, IntMat.identity(a_b.rows))
+    return (adj, d) if d > 0 else (adj.scale(-1), -d)
+
+
 def _corner_max(a_b: IntMat, b_b: Sequence[int], c: Sequence[int]):
     """Exact  max c'x  s.t.  A_B x <= b_B,  x integer,  A_B nonsingular.
 
     Returns None when c lies outside cone(A_B^T), i.e. the corner problem
     is unbounded; otherwise (z, y, v, delta_b, group_value) where
-    y = b_B - A_B z is the slack of the optimal witness and v = A_B^{-1} b_B.
+    y = b_B - A_B z is the slack of the optimal witness, delta_b =
+    |det A_B| and v = delta_b * A_B^{-1} b_B holds the numerators of the
+    base vertex.
     """
     n = a_b.rows
-    d = det(a_b)
-    if d == 0:
-        raise ValueError("singular base")
-    delta_b = abs(d)
-    v = inverse_times(a_b, list(b_b))
-    # slack costs: max c'x = c'v - (A_B^{-T}c)'y, so minimize chat'y
-    chat = inverse_times(a_b.transpose(), list(c))
-    if any(q < 0 for q in chat):
+    adj, delta_b = _inverse(a_b)
+    # slack costs: max c'x = c'v - (A_B^{-T}c)'y, so minimize chat'y with
+    # chat = delta_b * A_B^{-T} c = adj' c
+    costs = tuple(sum(row[i] * ck for row, ck in zip(adj.entries, c)) for i in range(n))
+    if any(q < 0 for q in costs):
         return None
-    costs = []
-    for q in chat:
-        scaled = q * delta_b
-        assert scaled.denominator == 1
-        costs.append(int(scaled))
     # integrality of x = A_B^{-1}(b_B - y) as a residue condition on y
     fact = snf(a_b)
     moduli = tuple(fact.S.entries[i][i] for i in range(n))
@@ -114,26 +121,27 @@ def _corner_max(a_b: IntMat, b_b: Sequence[int], c: Sequence[int]):
             group=grp,
             generators=gens,
             target=target,
-            costs=tuple(costs),
+            costs=costs,
             bounds=(POS_INF,) * n,
         )
     )
-    assert out.status == "optimal"  # unimodular columns generate the group
+    # unimodular columns generate the group, so an optimum exists
+    if out.status != "optimal":
+        raise CertificateError("the corner group problem reported no optimum")
     y = out.x
-    zfrac = inverse_times(a_b, [bi - yi for bi, yi in zip(b_b, y)])
-    assert all(q.denominator == 1 for q in zfrac)
-    z = tuple(int(q) for q in zfrac)
-    return z, y, v, delta_b, out.value
+    z = []
+    for q in adj.matvec([bi - yi for bi, yi in zip(b_b, y)]):
+        zi, rem = divmod(q, delta_b)
+        if rem:
+            raise CertificateError("the corner witness is not integral")
+        z.append(zi)
+    return tuple(z), y, adj.matvec(list(b_b)), delta_b, out.value
 
 
-def _slacks(instance: CanonicalInstance, idx: tuple[int, ...], v) -> list[Fraction]:
-    """b_i - a_i v on the non-base rows i, v the base vertex."""
-    a = instance.A
-    return [
-        Fraction(instance.b_r[i]) - sum(Fraction(aik) * vk for aik, vk in zip(a.entries[i], v))
-        for i in range(a.rows)
-        if i not in idx
-    ]
+def _slacks(instance: CanonicalInstance, idx: tuple[int, ...], av, den: int) -> list[int]:
+    """den * (b_i - a_i x) on the non-base rows i, for the base vertex x
+    with den * A x = av."""
+    return [den * instance.b_r[i] - av[i] for i in range(instance.A.rows) if i not in idx]
 
 
 def locality_test(instance: CanonicalInstance, base: Sequence[int]) -> bool:
@@ -142,9 +150,10 @@ def locality_test(instance: CanonicalInstance, base: Sequence[int]) -> bool:
     non-base slack at the base vertex is at least Delta - 1."""
     _require_one_sided(instance)
     idx = _check_base(instance, base)
-    v = inverse_times(instance.A.take_rows(list(idx)), [instance.b_r[i] for i in idx])
+    adj, den = _inverse(instance.A.take_rows(list(idx)))
+    av = instance.A.matvec(adj.matvec([instance.b_r[i] for i in idx]))
     delta = minor_stats(instance.A).delta
-    return all(s >= delta - 1 for s in _slacks(instance, idx, v))
+    return all(s >= den * (delta - 1) for s in _slacks(instance, idx, av, den))
 
 
 def solve_local(instance: CanonicalInstance, base: Sequence[int]) -> SolveOutcome:
@@ -159,7 +168,7 @@ def solve_local(instance: CanonicalInstance, base: Sequence[int]) -> SolveOutcom
     _require_one_sided(instance)
     idx = _check_base(instance, base)
     a = instance.A
-    n, m = instance.n, a.rows - instance.n
+    m = a.rows - instance.n
     a_b = a.take_rows(list(idx))
     b_b = [instance.b_r[i] for i in idx]
     res = _corner_max(a_b, b_b, instance.c)
@@ -173,29 +182,30 @@ def solve_local(instance: CanonicalInstance, base: Sequence[int]) -> SolveOutcom
     in_base = set(idx)
     notbase = [i for i in range(a.rows) if i not in in_base]
 
-    move = [
-        sum(Fraction(a.entries[i][k]) * (v[k] - z[k]) for k in range(n))
-        for i in range(a.rows)
-    ]
-    az = a.matvec(list(z))
+    # the move A (v / delta_b - z) from the base vertex to the witness and
+    # the non-base slacks are scaled by delta_b, and so are their bounds
+    av, az = a.matvec(v), a.matvec(list(z))
+    move = [avi - delta_b * azi for avi, azi in zip(av, az)]
     resid = [instance.b_r[i] - az[i] for i in range(a.rows)]
-    slack_n = _slacks(instance, idx, v)
+    slack_n = _slacks(instance, idx, av, delta_b)
     # witness invariant of the group optimum: the move stays small on the
     # rows that were dropped
-    assert all(abs(move[i]) <= delta - 1 for i in notbase)
+    if any(abs(move[i]) > delta_b * (delta - 1) for i in notbase):
+        raise CertificateError("the corner witness moved too far on a dropped row")
 
     y_l0, y_l1, y_linf = _norms(y)
     m_l0, m_l1, m_linf = _norms(move)
     r_l0, r_l1, r_linf = _norms(resid)
     s_l1 = sum(abs(q) for q in slack_n)
-    s_linf = max((abs(q) for q in slack_n), default=Fraction(0))
+    s_linf = max((abs(q) for q in slack_n), default=0)
+    l1_bound = (delta_b - 1) + m * (delta - 1)
     checks = {
         "move_l0": _log2_at_most(m_l0, delta_b, extra=m),
-        "move_l1": m_l1 <= (delta_b - 1) + m * (delta - 1),
-        "move_linf": m_linf <= delta - 1,
+        "move_l1": m_l1 <= delta_b * l1_bound,
+        "move_linf": m_linf <= delta_b * (delta - 1),
         "residual_l0": _log2_at_most(r_l0, delta_b, extra=m),
-        "residual_l1": r_l1 <= (delta_b - 1) + m * (delta - 1) + s_l1,
-        "residual_linf": r_linf <= delta - 1 + s_linf,
+        "residual_l1": delta_b * r_l1 <= delta_b * l1_bound + s_l1,
+        "residual_linf": delta_b * r_linf <= delta_b * (delta - 1) + s_linf,
         "face_dimension": _log2_at_most(y_l0, delta_b),
     }
     report = {
@@ -207,7 +217,7 @@ def solve_local(instance: CanonicalInstance, base: Sequence[int]) -> SolveOutcom
         "slack_l0": y_l0,
         "slack_l1": y_l1,
         "slack_linf": y_linf,
-        "local": all(s >= delta - 1 for s in slack_n),
+        "local": all(s >= delta_b * (delta - 1) for s in slack_n),
         "checks": checks,
     }
     value = sum(ci * zi for ci, zi in zip(instance.c, z))
@@ -256,17 +266,17 @@ def simplex_feasibility(a: IntMat, b: Sequence[int]) -> SolveOutcome:
 
     # min a'x over the corner == -max (-a)'x; -a is interior to cone(A_B^T)
     res = _corner_max(a_b, b_b, [-ai for ai in arow])
-    assert res is not None
+    if res is None:
+        raise CertificateError("the remaining row lies outside the base cone")
     z, y, v, delta_b, _gval = res
-    assert delta_b == lam[i_star]
+    if delta_b != lam[i_star]:
+        raise CertificateError("the base determinant differs from its kernel entry")
     min_val = sum(ai * zi for ai, zi in zip(arow, z))
 
     az = a.matvec(list(z))
     resid = [b[i] - az[i] for i in range(n + 1)]
-    move = [
-        sum(Fraction(a.entries[i][k]) * (v[k] - z[k]) for k in range(n))
-        for i in range(n + 1)
-    ]
+    # the move A (v / delta_b - z), scaled by delta_b like its bounds
+    move = [avi - delta_b * azi for avi, azi in zip(a.matvec(v), az)]
     m_l0, m_l1, m_linf = _norms(move)
     r_l0, _r_l1, _r_linf = _norms(resid)
     report = {
@@ -278,15 +288,15 @@ def simplex_feasibility(a: IntMat, b: Sequence[int]) -> SolveOutcome:
         "threshold": b[i_star],
         "checks": {
             "move_l0": _log2_at_most(m_l0, delta_b, extra=1),
-            "move_l1": m_l1 <= delta_b + delta - 2,
-            "move_linf": m_linf <= delta - 1,
+            "move_l1": m_l1 <= delta_b * (delta_b + delta - 2),
+            "move_linf": m_linf <= delta_b * (delta - 1),
             "residual_l0": _log2_at_most(r_l0, delta_b, extra=1),
         },
     }
     if min_val > b[i_star]:
         return SolveOutcome(status="infeasible", certificate=report)
-    assert all(q >= 0 for q in resid)
-    assert _log2_at_most(r_l0, delta_b, extra=1)
+    if any(q < 0 for q in resid) or not _log2_at_most(r_l0, delta_b, extra=1):
+        raise CertificateError("the corner witness violates the simplex or its sparsity bound")
     return SolveOutcome(status="optimal", x=z, value=min_val, certificate=report)
 
 
@@ -350,7 +360,8 @@ def subset_sum_unbounded(w: Sequence[int], target: int) -> SolveOutcome:
         "bound_l1": r + w_max - 2,
         "bound_linf": w_max - 1,
     }
-    assert sum(wi * xi for wi, xi in zip(w, x)) == target
+    if sum(wi * xi for wi, xi in zip(w, x)) != target:
+        raise CertificateError("subset-sum witness misses the target")
     return SolveOutcome(
         status="optimal", x=tuple(x), value=target, certificate=report
     )
@@ -378,7 +389,8 @@ def _knapsack_capacity_dp(
         else:
             x[i] += 1
             q -= w[i]
-    assert sum(ci * xi for ci, xi in zip(c, x)) == best[cap]
+    if sum(ci * xi for ci, xi in zip(c, x)) != best[cap]:
+        raise CertificateError("capacity DP witness differs from its value")
     return SolveOutcome(
         status="optimal",
         x=tuple(x),
@@ -435,7 +447,8 @@ def knapsack_unbounded(
     others = [i for i in usable if i != j]
     gens = [(w[i] % r,) for i in others] + [(1 % r,)]
     costs = [c[j] * w[i] - r * c[i] for i in others] + [c[j]]
-    assert all(q >= 0 for q in costs)
+    if any(q < 0 for q in costs):
+        raise CertificateError("the substituted item does not have the best ratio")
     inst = GroupInstance(
         group=GroupSpec((r,)),
         generators=tuple(gens),
@@ -444,11 +457,14 @@ def knapsack_unbounded(
         bounds=(POS_INF,) * len(gens),
     )
     out = cyclic_minplus_solve(inst)
-    assert out.status == "optimal"  # the unit generator spans the group
+    # the unit generator spans the group, so an optimum exists
+    if out.status != "optimal":
+        raise CertificateError("the knapsack group problem reported no optimum")
     slack = out.x[-1]
     used = sum(w[i] * t for i, t in zip(others, out.x))
     top, rem = divmod(cap - slack - used, r)
-    assert rem == 0
+    if rem:
+        raise CertificateError("the group witness misses the capacity residue")
     if top < 0:
         # the group relaxation pulled the substituted item negative; the
         # capacity DP stays exact
@@ -466,7 +482,8 @@ def knapsack_unbounded(
         x[i] = t
     x[j] = top
     value = sum(ci * xi for ci, xi in zip(c, x))
-    assert r * value == c[j] * (cap - slack) - (out.value - c[j] * slack)
+    if r * value != c[j] * (cap - slack) - (out.value - c[j] * slack):
+        raise CertificateError("knapsack value differs from the group value")
     return SolveOutcome(
         status="optimal",
         x=tuple(x),
@@ -490,20 +507,16 @@ def locality_sampler(
     if rank(a) != n:
         raise ValueError("matrix must have full column rank")
     delta = minor_stats(a).delta
-    # Precompute, per nonsingular base B: the exact inverse of A_B (as
-    # rational rows) and the non-base row indices.
+    # Per nonsingular base B: A adj and den, with A A_B^{-1} = A adj / den and
+    # den = |det A_B|, and the non-base row indices.
     bases = []
     for cmb in combinations(range(a.rows), n):
-        sub = a.take_rows(list(cmb))
-        d = det(sub)
-        if d != 0:
-            adj = adjugate(sub)
-            inv = [
-                [Fraction(adj.entries[i][j], d) for j in range(n)]
-                for i in range(n)
-            ]
-            outside = [i for i in range(a.rows) if i not in set(cmb)]
-            bases.append((cmb, inv, outside))
+        try:
+            adj, den = _inverse(a.take_rows(list(cmb)))
+        except RankError:
+            continue
+        outside = [i for i in range(a.rows) if i not in cmb]
+        bases.append((cmb, a.mul(adj).entries, den, outside))
     rows = []
     for t in t_grid:
         rnd = stream(seed, f"locality-sampler:t={t}")
@@ -512,19 +525,14 @@ def locality_sampler(
             b = [rnd.randint(-t, t) for _ in range(a.rows)]
             any_feasible = False
             all_local = True
-            for cmb, inv, outside in bases:
-                v = [
-                    sum(inv[k][j] * b[cmb[j]] for j in range(n))
-                    for k in range(n)
-                ]
-                av = [
-                    sum(a.entries[i][k] * v[k] for k in range(n))
-                    for i in range(a.rows)
-                ]
-                if any(av[i] > b[i] for i in range(a.rows)):
+            for cmb, a_adj, den, outside in bases:
+                b_b = [b[j] for j in cmb]
+                # den * A v at the base vertex v = A_B^{-1} b_B
+                av = [sum(q * bj for q, bj in zip(row, b_b)) for row in a_adj]
+                if any(av[i] > den * b[i] for i in range(a.rows)):
                     continue  # base vertex infeasible
                 any_feasible = True
-                if any(b[i] - av[i] < delta - 1 for i in outside):
+                if any(den * b[i] - av[i] < den * (delta - 1) for i in outside):
                     all_local = False
                     break
             if not any_feasible:

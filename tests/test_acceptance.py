@@ -27,7 +27,6 @@ from deltailp.dpsolve import detect_unbounded, solve_bilp_sf, solve_ilp_sf_unbou
 from deltailp.groupmin import cyclic_minplus_solve, gomory_solve, vertex_certificate
 from deltailp.intlinalg import (
     IntMat,
-    adjugate,
     delta_gcd,
     det,
     hnf,
@@ -54,6 +53,7 @@ from deltailp.oracle import (
 from deltailp.reductions import IntegralInfeasible, cf_to_sf, classic_to_generalized, sf_to_cf
 from deltailp.rng import stream
 from deltailp.specials import knapsack_unbounded, locality_sampler, subset_sum_unbounded
+from test_intlinalg import ref_adjugate
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +426,7 @@ def test_criterion_06_sparsity_bounds_on_hull_vertices():
             if dsub != 0:
                 base, sub_det = list(cmb), dsub
                 break
-        adj = adjugate(a.take_rows(base))
+        adj = ref_adjugate(a.take_rows(base))
         bigm = [max(abs(b_l[i]), abs(b_r[i])) for i in base]
         half = max(
             math.ceil(
@@ -485,7 +485,7 @@ def test_criterion_07_normal_form_algebra():
         if r > c and kernel_pairs < 150:
             # kernel basis of a^T from the Smith form; the complementary
             # maximal minors of the pair satisfy the perpendicular identity
-            p_inv = adjugate(sres.P).scale(det(sres.P))
+            p_inv = ref_adjugate(sres.P).scale(det(sres.P))
             bmat = IntMat.from_rows(
                 [[p_inv.entries[i][j] for i in range(c, r)] for j in range(r)]
             )
@@ -547,7 +547,7 @@ def test_criterion_08_reduction_round_trip():
             if det(a.take_rows(list(cmb))) != 0
         )
         sub = a.take_rows(list(base))
-        adj, sub_det = adjugate(sub), det(sub)
+        adj, sub_det = ref_adjugate(sub), det(sub)
         bigm = [
             max(abs(inst.b_l[i]), abs(inst.b_r[i])) for i in base
         ]

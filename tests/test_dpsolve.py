@@ -32,7 +32,6 @@ from deltailp.intlinalg import (
     IntMat,
     RankError,
     det,
-    inverse_times,
     max_det_submatrix,
     minor_stats,
     rank,
@@ -49,7 +48,7 @@ from deltailp.model import (
 )
 from deltailp.oracle import brute_force_ilp, feasible_points
 from deltailp.reductions import classic_to_generalized
-from test_intlinalg import ref_points
+from test_intlinalg import inverse_times, ref_points
 
 
 def sf(n, m, a_rows, g_rows, s_diag, b, g, u, c):
@@ -1242,6 +1241,21 @@ class TestBaseOnce:
             out = solve_ilp_sf_unbounded(inst, rho=6)
             if out.certificate.get("stage") != "lp":
                 assert counts == {"max_det_submatrix": 1, "minor_stats": 0}
+
+    def test_unbounded_m2(self, monkeypatch):
+        # the proximity-box DP keeps A, so it reuses the base of the solve
+        rng = random.Random(2025)
+        counts = count_calls(monkeypatch)
+        solved = 0
+        for _ in range(3):
+            inst = random_unbounded_m2(rng)
+            for key in counts:
+                counts[key] = 0
+            out = solve_ilp_sf_unbounded(inst)
+            if out.certificate.get("stage") != "lp":
+                assert counts == {"max_det_submatrix": 1, "minor_stats": 0}
+                solved += 1
+        assert solved >= 1
 
     def test_local_corner(self, monkeypatch):
         counts = count_calls(monkeypatch)

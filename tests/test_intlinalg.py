@@ -13,13 +13,12 @@ from deltailp.intlinalg import (
     IntMat,
     ParallelepipedLattice,
     RankError,
-    adjugate,
+    cramer,
     det,
     delta,
     delta_gcd,
     enumerate_parallelepiped,
     hnf,
-    inverse_times,
     max_det_submatrix,
     minor_stats,
     rank,
@@ -40,6 +39,39 @@ def det_cofactor(rows):
     return total
 
 
+def ref_adjugate(M: IntMat) -> IntMat:
+    """Adjugate matrix: M * adjugate(M) = det(M) * I, valid also for
+    singular M."""
+    if M.rows != M.cols:
+        raise DimensionError("adjugate of a non-square matrix")
+    n = M.rows
+    if n == 1:
+        return IntMat.from_rows([[1]])
+    idx = list(range(n))
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows = idx[:i] + idx[i + 1 :]
+        for j in range(n):
+            cols = idx[:j] + idx[j + 1 :]
+            minor = det(M.submatrix(rows, cols))
+            # adjugate is the transposed cofactor matrix
+            out[j][i] = (-1) ** (i + j) * minor
+    return IntMat.from_rows(out)
+
+
+def inverse_times(M: IntMat, y) -> tuple[Fraction, ...]:
+    """Exact M^{-1} y as Fractions for nonsingular square M, via the
+    cofactor adjugate."""
+    d = det(M)
+    if d == 0:
+        raise RankError("singular matrix")
+    adj = ref_adjugate(M)
+    return tuple(
+        Fraction(sum(adj.entries[i][j] * Fraction(y[j]) for j in range(M.cols)), 1) / d
+        for i in range(M.rows)
+    )
+
+
 def random_mat(rng, rows, cols, bound):
     return IntMat.from_rows(
         [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
@@ -58,7 +90,7 @@ def ref_points(A, p, gamma):
     n = A.cols
     dec = snf(A)
     s_diag = [dec.S.entries[i][i] for i in range(n)]
-    q_inv = adjugate(dec.Q).scale(det(dec.Q))
+    q_inv = ref_adjugate(dec.Q).scale(det(dec.Q))
     gamma = Fraction(gamma)
     p = [Fraction(v) for v in p]
     cols = list(zip(*A.entries))
@@ -147,10 +179,10 @@ class TestRank:
 
 class TestAdjugate:
     def test_identity(self):
-        assert adjugate(IntMat.identity(4)) == IntMat.identity(4)
+        assert ref_adjugate(IntMat.identity(4)) == IntMat.identity(4)
 
     def test_closed_form_2x2(self):
-        assert adjugate(IntMat.from_rows([[2, 0], [1, 3]])) == IntMat.from_rows(
+        assert ref_adjugate(IntMat.from_rows([[2, 0], [1, 3]])) == IntMat.from_rows(
             [[3, 0], [-1, 2]]
         )
 
@@ -158,8 +190,67 @@ class TestAdjugate:
         rng = random.Random(7)
         for _ in range(50):
             m = random_mat(rng, 3, 3, 6)
-            prod = m.mul(adjugate(m))
+            prod = m.mul(ref_adjugate(m))
             assert prod == IntMat.identity(3).scale(det(m))
+
+
+class TestCramer:
+    # cramer(M, Y) = (adj(M) Y, det M) from one fraction-free Gauss-Jordan pass
+    def test_identity_gives_adjugate_and_det(self):
+        rng = random.Random(31)
+        sizes, signs, big = set(), set(), 0
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            m = random_mat(rng, n, n, 4)
+            d = det_cofactor(m.to_lists())
+            if d == 0:
+                continue
+            assert cramer(m, IntMat.identity(n)) == (ref_adjugate(m), d)
+            sizes.add(n)
+            signs.add(d > 0)
+            big += abs(d) > 1
+        assert sizes == {1, 2, 3, 4, 5} and signs == {True, False} and big > 100
+
+    def test_singular_raises(self):
+        # the TestAdjugate draws: some are singular, where the cofactor
+        # adjugate still exists but cramer refuses
+        rng = random.Random(7)
+        singular = 0
+        for _ in range(50):
+            m = random_mat(rng, 3, 3, 6)
+            if det_cofactor(m.to_lists()) == 0:
+                singular += 1
+                with pytest.raises(RankError):
+                    cramer(m, IntMat.identity(3))
+            else:
+                assert cramer(m, IntMat.identity(3)) == (ref_adjugate(m), det(m))
+        assert singular >= 1
+        for rows in ([[0]], [[1, 2], [2, 4]], [[0, 1], [0, 3]], [[1, 1, 0], [1, 1, 0], [0, 0, 1]]):
+            m = IntMat.from_rows(rows)
+            with pytest.raises(RankError):
+                cramer(m, IntMat.identity(m.rows))
+
+    def test_general_right_hand_side(self):
+        rng = random.Random(43)
+        checked = 0
+        for _ in range(200):
+            n, k = rng.randint(1, 4), rng.randint(1, 3)
+            m = random_mat(rng, n, n, 5)
+            d = det(m)
+            if d == 0:
+                continue
+            y = random_mat(rng, n, k, 7)
+            x, dd = cramer(m, y)
+            assert dd == d and m.mul(x) == y.scale(d)
+            assert x == ref_adjugate(m).mul(y)
+            checked += 1
+        assert checked > 100
+
+    def test_shapes_rejected(self):
+        with pytest.raises(DimensionError):
+            cramer(IntMat.from_rows([[1, 2, 3], [4, 5, 6]]), IntMat.identity(2))
+        with pytest.raises(DimensionError):
+            cramer(IntMat.identity(2), IntMat.identity(3))
 
 
 class TestUnimodularInverse:
@@ -390,7 +481,7 @@ class TestEnumerateParallelepiped:
             seen.add(abs(d))
             p = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(3)]
             gamma = Fraction(rng.randint(1, 2), 2)
-            adj = adjugate(a).entries
+            adj = ref_adjugate(a).entries
             ends = [sorted((d * (pi - gamma), d * (pi + gamma))) for pi in p]
             lims = [(math.ceil(lo), math.floor(hi)) for lo, hi in ends]
             bound = max(
@@ -566,7 +657,7 @@ class TestPerpendicularIdentity:
                 continue
             # kernel basis of A^T via the Smith form of A
             dec = snf(a)
-            p_inv = adjugate(dec.P).scale(det(dec.P))
+            p_inv = ref_adjugate(dec.P).scale(det(dec.P))
             # rows m.. of P^{-1} span ker(A^T); transpose to columns
             bmat = IntMat.from_rows(
                 [[p_inv.entries[i][j] for i in range(m, n)] for j in range(n)]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from deltailp.intlinalg import IntMat, det, inverse_times, rank
+from deltailp.intlinalg import IntMat, det, rank
 from deltailp.model import (
     NEG_INF,
     POS_INF,
@@ -19,6 +19,7 @@ from deltailp.model import (
 )
 from deltailp.lp import solve_lp
 from deltailp.oracle import _dense_ineq_lp
+from test_intlinalg import inverse_times
 
 
 def feasible_cf(inst, x):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from deltailp.intlinalg import IntMat, adjugate, det, delta, inverse_times, rank
+from deltailp.intlinalg import IntMat, det, delta, rank
 from deltailp.io import FormatError, parse_instance, serialize_instance
 from deltailp.model import (
     NEG_INF,
@@ -19,6 +19,7 @@ from deltailp.model import (
     transform_point,
     validate,
 )
+from test_intlinalg import inverse_times, ref_adjugate
 
 
 def make_standard(a_rows, g_rows, s_rows, b, g, u, c):
@@ -215,7 +216,7 @@ class TestNormalize:
             )
             normed, rec = normalize(inst, tuple(range(n)))
             blk = normed.A
-            adj = adjugate(blk)
+            adj = ref_adjugate(blk)
             d = rec.delta
             for i in range(rec.s):
                 for j in range(n):

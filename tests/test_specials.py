@@ -1,13 +1,23 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from deltailp.intlinalg import IntMat, det, inverse_times, minor_stats, rank
-from deltailp.model import NEG_INF, CanonicalInstance
+from deltailp.cli import _fmt
+from deltailp.groupmin import gomory_solve
+from deltailp.intlinalg import IntMat, det, minor_stats, rank, snf
+from deltailp.model import NEG_INF, POS_INF, CanonicalInstance, GroupInstance, GroupSpec
 from deltailp.oracle import brute_force_ilp
+from deltailp.rng import stream
 from deltailp.specials import (
+    _corner_max,
     knapsack_unbounded,
     locality_sampler,
     locality_table,
@@ -16,6 +26,7 @@ from deltailp.specials import (
     solve_local,
     subset_sum_unbounded,
 )
+from test_intlinalg import inverse_times, ref_adjugate
 
 
 def one_sided(rows, b, c):
@@ -270,3 +281,259 @@ class TestSampler:
         text = locality_table(rows)
         assert "feasible" in text and "fraction" in text
         assert len(text.splitlines()) == 2
+
+
+def ref_corner(a_b, b_b, c):
+    """Fraction reference for the corner optimum: A_B^{-1} applied as
+    Fractions, and the same group problem.  None when c is outside
+    cone(A_B^T); else (z, y, v = A_B^{-1} b_B, |det A_B|, group value)."""
+    n = a_b.rows
+    delta_b = abs(det(a_b))
+    chat = inverse_times(a_b.transpose(), c)
+    if any(q < 0 for q in chat):
+        return None
+    fact = snf(a_b)
+    moduli = tuple(fact.S.entries[i][i] for i in range(n))
+    inv_p = ref_adjugate(fact.P).scale(det(fact.P))
+    out = gomory_solve(
+        GroupInstance(
+            group=GroupSpec(moduli),
+            generators=tuple(
+                tuple(inv_p.entries[k][i] % moduli[k] for k in range(n)) for i in range(n)
+            ),
+            target=tuple(t % q for t, q in zip(inv_p.matvec(list(b_b)), moduli)),
+            costs=tuple(int(q * delta_b) for q in chat),
+            bounds=(POS_INF,) * n,
+        )
+    )
+    z = inverse_times(a_b, [bi - yi for bi, yi in zip(b_b, out.x)])
+    assert all(q.denominator == 1 for q in z)
+    return tuple(int(q) for q in z), out.x, inverse_times(a_b, b_b), delta_b, out.value
+
+
+def ref_norms(vec):
+    return (
+        sum(1 for q in vec if q != 0),
+        sum(abs(Fraction(q)) for q in vec),
+        max((abs(Fraction(q)) for q in vec), default=Fraction(0)),
+    )
+
+
+def log2_at_most(count, bound, extra=0):
+    return bound >= 1 << max(0, count - extra)
+
+
+def ref_local(inst, base):
+    """Fraction reference for locality_test: every non-base slack at the
+    base vertex is at least Delta - 1."""
+    idx = tuple(sorted(base))
+    a = inst.A
+    v = inverse_times(a.take_rows(list(idx)), [inst.b_r[i] for i in idx])
+    delta = minor_stats(a).delta
+    slack = [
+        inst.b_r[i] - sum(aik * vk for aik, vk in zip(a.entries[i], v))
+        for i in range(a.rows)
+        if i not in idx
+    ]
+    return all(q >= delta - 1 for q in slack), slack
+
+
+def ref_solve_local(inst, base):
+    """Fraction reference for solve_local: the witness, its value and the
+    certificate, every bound compared over the rationals."""
+    idx = tuple(sorted(base))
+    a = inst.A
+    n, m = inst.n, a.rows - inst.n
+    res = ref_corner(a.take_rows(list(idx)), [inst.b_r[i] for i in idx], inst.c)
+    if res is None:
+        return None
+    z, y, v, delta_b, group_value = res
+    delta = minor_stats(a).delta
+    move = [sum(a.entries[i][k] * (v[k] - z[k]) for k in range(n)) for i in range(a.rows)]
+    assert all(abs(move[i]) <= delta - 1 for i in range(a.rows) if i not in idx)
+    az = a.matvec(list(z))
+    resid = [inst.b_r[i] - az[i] for i in range(a.rows)]
+    local, slack = ref_local(inst, idx)
+    y_l0, y_l1, y_linf = ref_norms(y)
+    m_l0, m_l1, m_linf = ref_norms(move)
+    r_l0, r_l1, r_linf = ref_norms(resid)
+    s_l1 = sum(abs(q) for q in slack)
+    s_linf = max((abs(q) for q in slack), default=Fraction(0))
+    cert = {
+        "base": idx,
+        "delta": delta,
+        "delta_base": delta_b,
+        "group_value": group_value,
+        "corner_slack": tuple(y),
+        "slack_l0": y_l0,
+        "slack_l1": y_l1,
+        "slack_linf": y_linf,
+        "local": local,
+        "checks": {
+            "move_l0": log2_at_most(m_l0, delta_b, extra=m),
+            "move_l1": m_l1 <= (delta_b - 1) + m * (delta - 1),
+            "move_linf": m_linf <= delta - 1,
+            "residual_l0": log2_at_most(r_l0, delta_b, extra=m),
+            "residual_l1": r_l1 <= (delta_b - 1) + m * (delta - 1) + s_l1,
+            "residual_linf": r_linf <= delta - 1 + s_linf,
+            "face_dimension": log2_at_most(y_l0, delta_b),
+        },
+    }
+    return z, sum(ci * zi for ci, zi in zip(inst.c, z)), cert
+
+
+def random_corners(seed, count):
+    """(instance, base) pairs: one-sided systems with n in {1, 2, 3} and up to
+    two extra rows, a random nonsingular base, and c in cone(A_B^T) three
+    times in four."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, m = rng.randint(1, 3), rng.randint(0, 2)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n + m)]
+        a = IntMat.from_rows(rows)
+        bases = [bs for bs in combinations(range(n + m), n) if det(a.take_rows(bs)) != 0]
+        if not bases:
+            continue
+        base = rng.choice(bases)
+        if rng.random() < 0.75:
+            lam = [rng.randint(0, 3) for _ in range(n)]
+            c = [sum(lj * rows[i][k] for lj, i in zip(lam, base)) for k in range(n)]
+        else:
+            c = [rng.randint(-3, 3) for _ in range(n)]
+        b = [rng.randint(-6, 6) for _ in range(n + m)]
+        out.append((one_sided(rows, b, c), base))
+    return out
+
+
+class TestIntegerCorner:
+    # the corner solver works on integer numerators over |det A_B|; a
+    # Fraction reference gives the same answers and the same certificate
+    def test_corner_max_matches_reference(self):
+        signs, dets, bounded = set(), set(), 0
+        for inst, base in random_corners(3, 150):
+            a_b = inst.A.take_rows(list(base))
+            b_b = [inst.b_r[i] for i in base]
+            got, want = _corner_max(a_b, b_b, inst.c), ref_corner(a_b, b_b, inst.c)
+            if want is None:
+                assert got is None
+                continue
+            z, y, v, delta_b, value = got
+            assert (z, y, delta_b, value) == (want[0], want[1], want[3], want[4])
+            assert tuple(Fraction(q, delta_b) for q in v) == want[2]
+            signs.add(det(a_b) > 0)
+            dets.add(delta_b)
+            bounded += 1
+        assert signs == {True, False} and max(dets) > 1 and bounded >= 80
+
+    def test_solve_local_and_locality_match_reference(self):
+        seen = set()
+        for inst, base in random_corners(5, 150):
+            out = solve_local(inst, base)
+            want = ref_solve_local(inst, base)
+            assert locality_test(inst, base) == ref_local(inst, base)[0]
+            if want is None:
+                assert out.status == "unbounded"
+                seen.add("unbounded")
+                continue
+            x, value, cert = want
+            assert out.status == "optimal"
+            assert (out.x, out.value) == (x, value)
+            assert out.certificate.keys() == cert.keys()
+            for key, ref in cert.items():
+                assert out.certificate[key] == ref, key
+                assert _fmt(out.certificate[key]) == _fmt(ref), key
+            seen.add(cert["local"])
+        assert seen == {"unbounded", True, False}
+
+
+def ref_locality_sampler(a, t_grid, samples, seed):
+    """Fraction reference for locality_sampler: each base vertex as
+    A_B^{-1} b_B over the rationals."""
+    n = a.cols
+    delta = minor_stats(a).delta
+    bases = []
+    for cmb in combinations(range(a.rows), n):
+        sub = a.take_rows(list(cmb))
+        d = det(sub)
+        if d != 0:
+            adj = ref_adjugate(sub)
+            inv = [[Fraction(adj.entries[i][j], d) for j in range(n)] for i in range(n)]
+            bases.append((cmb, inv, [i for i in range(a.rows) if i not in cmb]))
+    rows = []
+    for t in t_grid:
+        rnd = stream(seed, f"locality-sampler:t={t}")
+        feasible = local = 0
+        for _ in range(samples):
+            b = [rnd.randint(-t, t) for _ in range(a.rows)]
+            any_feasible, all_local = False, True
+            for cmb, inv, outside in bases:
+                v = [sum(inv[k][j] * b[cmb[j]] for j in range(n)) for k in range(n)]
+                av = [sum(a.entries[i][k] * v[k] for k in range(n)) for i in range(a.rows)]
+                if any(av[i] > b[i] for i in range(a.rows)):
+                    continue
+                any_feasible = True
+                if any(b[i] - av[i] < delta - 1 for i in outside):
+                    all_local = False
+                    break
+            if any_feasible:
+                feasible += 1
+                local += all_local
+        rows.append(
+            {
+                "t": t,
+                "samples": samples,
+                "feasible": feasible,
+                "local": local,
+                "fraction": Fraction(local, feasible) if feasible else None,
+            }
+        )
+    return rows
+
+
+class TestSamplerReference:
+    def test_criterion_11_matrix(self):
+        a = IntMat.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 3]])
+        args = (a, [1, 3, 10, 100, 1000], 60, 0)
+        rows = locality_sampler(*args)
+        assert rows == ref_locality_sampler(*args)
+        assert 0 < rows[1]["local"] < rows[1]["feasible"]
+
+
+class TestChecksUnderOptimize:
+    # the corner and knapsack solvers check the group optimum explicitly, so
+    # a failed group solve is refused when python -O strips asserts
+    SCRIPT = textwrap.dedent(
+        """
+        import sys
+        from deltailp import specials
+        from deltailp.intlinalg import IntMat
+        from deltailp.model import CertificateError, SolveOutcome
+
+        def refused(solve, *args):
+            try:
+                out = solve(*args)
+            except CertificateError as exc:
+                return str(exc)
+            return f"accepted: {out}"
+
+        specials.gomory_solve = lambda inst: SolveOutcome.infeasible()
+        specials.cyclic_minplus_solve = lambda inst: SolveOutcome.infeasible()
+        print(refused(specials._corner_max, IntMat.from_rows([[2, 0], [1, 3]]), [1, 2], [1, 1]))
+        print(refused(specials.knapsack_unbounded, [3, 5], [4, 7], 100, "group"))
+        print("optimize", sys.flags.optimize)
+        """
+    )
+
+    def test_failed_group_solve_raises_under_optimize(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", self.SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert run.stdout.splitlines() == [
+            "the corner group problem reported no optimum",
+            "the knapsack group problem reported no optimum",
+            "optimize 1",
+        ]
