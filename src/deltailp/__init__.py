@@ -9,6 +9,12 @@ programming solvers for bounded and unbounded standard-form instances, group
 minimization over finite Abelian groups, locality and feasibility
 specializations, closed-form sparsity/proximity bound evaluation, and
 brute-force oracles used to verify everything at desk scale.
+
+:func:`solve` is the one entry point over all of them: it picks or checks
+the algorithm for the instance's form and runs it.
 """
 
+from .solver import solve
+
+__all__ = ["solve"]
 __version__ = "0.1.0"

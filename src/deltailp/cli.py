@@ -1,11 +1,15 @@
 """Command-line interface.
 
-Subcommands: solve, reduce, normalize, bounds, gen, verify, bench.  Output
-is line-oriented ``key: value`` text with a stable key order, so identical
-(file, flags, seed) inputs produce byte-identical stdout; wall-clock timing
-goes to stderr.  Exit codes: 0 solved/verified, 1 a verify suite failed or
-a solver's answer failed its re-check, 2 infeasible, 3 unbounded, 4 input
-error, 5 enumeration cap refused or recursion limit reached.
+Subcommands: solve, reduce, normalize, bounds, gen, verify, bench.  ``solve``
+prints the file's form and the algorithm (``--algo auto`` asks
+:func:`deltailp.solver.pick_algo`), then runs :func:`deltailp.solver.solve`,
+which refuses an algorithm that does not apply to the form as an input
+error.  Output is line-oriented ``key: value`` text with a stable key order,
+so identical (file, flags, seed) inputs produce byte-identical stdout;
+wall-clock timing goes to stderr.  Exit codes: 0 solved/verified, 1 a verify
+suite failed or a solver's answer failed its re-check, 2 infeasible,
+3 unbounded, 4 input error, 5 enumeration cap refused or recursion limit
+reached.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ import time
 from fractions import Fraction
 
 from . import bounds as bounds_mod
-from .dpsolve import solve_bilp_sf, solve_ilp_sf_unbounded
+from .dpsolve import solve_bilp_sf
 from .generators import generate
-from .groupmin import cyclic_minplus_solve, gomory_solve, vertex_certificate
-from .intlinalg import IntMat, minor_stats, rank
+from .groupmin import vertex_certificate
+from .intlinalg import IntMat, _greedy_base, minor_stats
 from .io import FormatError, load_instance, serialize_instance
 from .lp import solve_lp
 from .model import (
@@ -29,17 +33,10 @@ from .model import (
     CertificateError,
     SolveOutcome,
     StandardInstance,
-    is_finite,
     normalize,
     validate,
 )
-from .oracle import (
-    CapExceeded,
-    brute_force_group,
-    brute_force_ilp,
-    group_hull_vertices,
-    hull_vertices,
-)
+from .oracle import CapExceeded, group_hull_vertices, hull_vertices
 from .reductions import (
     IntegralInfeasible,
     cf_to_sf,
@@ -47,7 +44,7 @@ from .reductions import (
     sf_to_cf,
 )
 from .rng import stream
-from .specials import knapsack_unbounded, locality_test, solve_local, subset_sum_unbounded
+from .solver import ALGORITHMS, enclosing_box, form_of, pick_algo, solve
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -94,142 +91,15 @@ def _emit_outcome(out: SolveOutcome) -> int:
     return _STATUS_EXIT[out.status]
 
 
-def _form_of(inst) -> str:
-    if isinstance(inst, CanonicalInstance):
-        return "cf"
-    if isinstance(inst, StandardInstance):
-        return "sf"
-    return "group"
-
-
-def _enclosing_box(inst: CanonicalInstance) -> list[tuple[int, int]]:
-    """Exact per-coordinate LP bounds of the canonical polyhedron."""
-    import math
-
-    box = []
-    for k in range(inst.n):
-        ends = []
-        for sign in (1, -1):
-            c = tuple(sign if i == k else 0 for i in range(inst.n))
-            lp = solve_lp(
-                CanonicalInstance(A=inst.A, b_l=inst.b_l, b_r=inst.b_r, c=c)
-            )
-            if lp.status == "infeasible":
-                raise IntegralInfeasible("LP relaxation is empty")
-            if lp.status != "optimal":
-                raise ValueError(
-                    "polyhedron is unbounded; the oracle cannot enclose it"
-                )
-            ends.append(lp.vertex[k])
-        box.append((math.floor(min(ends)), math.ceil(max(ends))))
-    return box
-
-
-def _solve_cf_via_reduction(inst: CanonicalInstance, variant: str) -> SolveOutcome:
-    dst, rmap = cf_to_sf(inst)
-    out = solve_bilp_sf(dst, variant=variant)
-    if out.status != "optimal":
-        return out
-    x = rmap.backward(out.x)
-    value = (Fraction(out.value) - rmap.objective_offset) / rmap.objective_scale
-    if value.denominator != 1:
-        raise CertificateError("the reduction maps the optimum to a non-integral value")
-    cert = dict(out.certificate or {})
-    cert["reduction"] = "cf2sf"
-    return SolveOutcome(status="optimal", x=x, value=int(value), certificate=cert)
-
-
-def _solve_cf_local(inst: CanonicalInstance, require_local: bool) -> SolveOutcome:
-    n, rows = inst.n, inst.A.rows
-    if rows == n:
-        base = tuple(range(n))
-    else:
-        lp = solve_lp(inst)
-        if lp.status == "infeasible":
-            return SolveOutcome(status="infeasible", certificate={"stage": "lp"})
-        if lp.status == "unbounded":
-            return SolveOutcome(status="unbounded", certificate={"stage": "lp"})
-        base = lp.base
-    out = solve_local(inst, base)
-    if require_local:
-        # an unbounded corner carries no verdict, so the test runs on its own
-        local = out.certificate["local"] if out.status == "optimal" else locality_test(inst, base)
-        if not local:
-            raise ValueError(
-                "locality condition fails at the optimal LP base; "
-                "the local path cannot certify a global optimum"
-            )
-    return out
-
-
-def _knapsack_data(inst) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    if not isinstance(inst, StandardInstance) or inst.A is None or inst.A.rows != 1:
-        raise ValueError(
-            "knapsack/subset-sum solvers expect a standard-form instance "
-            "with a single equality row"
-        )
-    if inst.S is not None and inst.det_s != 1:
-        raise ValueError("knapsack/subset-sum solvers require a trivial group part")
-    if any(is_finite(v) for v in inst.u):
-        raise ValueError("knapsack/subset-sum solvers are for unbounded variables")
-    w = tuple(inst.A.entries[0])
-    return w, tuple(inst.c), inst.b[0]
-
-
 def cmd_solve(args) -> int:
     inst = load_instance(args.file)
-    form = _form_of(inst)
+    form = form_of(inst)
     if args.form != "auto" and args.form != form:
         raise ValueError(f"instance has form {form}, not {args.form}")
-    algo = args.algo
-    if algo == "auto":
-        if form == "group":
-            algo = "cyclic" if len(inst.group.moduli) == 1 else "gomory"
-        elif form == "sf":
-            algo = "bounded-dp" if inst.bounded else "unbounded-dp"
-        else:
-            if all(is_finite(v) for v in inst.b_l):
-                algo = "bounded-dp"
-            else:
-                algo = "local"
+    algo = pick_algo(inst) if args.algo == "auto" else args.algo
     _emit("form", form)
     _emit("algo", algo)
-
-    if algo == "oracle":
-        if form == "group":
-            out = brute_force_group(inst, inst.group.order - 1)
-        elif form == "sf":
-            if not inst.bounded:
-                raise ValueError("the oracle needs finite upper bounds")
-            out = brute_force_ilp(inst, [(0, u) for u in inst.u])
-        else:
-            out = brute_force_ilp(inst, _enclosing_box(inst))
-    elif algo == "gomory":
-        out = gomory_solve(inst)
-    elif algo == "cyclic":
-        out = cyclic_minplus_solve(inst)
-    elif algo == "bounded-dp":
-        if form == "cf":
-            if any(not is_finite(v) for v in inst.b_l):
-                raise ValueError("bounded-dp on canonical input needs finite b_l")
-            out = _solve_cf_via_reduction(inst, args.variant)
-        else:
-            out = solve_bilp_sf(inst, variant=args.variant)
-    elif algo == "unbounded-dp":
-        out = solve_ilp_sf_unbounded(inst)
-    elif algo == "local":
-        if form != "cf":
-            raise ValueError("the local path applies to canonical instances")
-        out = _solve_cf_local(inst, require_local=inst.A.rows > inst.n)
-    elif algo == "knapsack":
-        w, c, cap = _knapsack_data(inst)
-        out = knapsack_unbounded(w, c, cap)
-    elif algo == "subset-sum":
-        w, _c, cap = _knapsack_data(inst)
-        out = subset_sum_unbounded(w, cap)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown algorithm {algo}")
-    return _emit_outcome(out)
+    return _emit_outcome(solve(inst, algo, args.variant))
 
 
 def cmd_reduce(args) -> int:
@@ -238,20 +108,16 @@ def cmd_reduce(args) -> int:
         if not isinstance(inst, CanonicalInstance):
             raise ValueError("cf2sf needs a canonical instance")
         dst, _rmap = cf_to_sf(inst)
-        print(serialize_instance(dst))
-        return EXIT_OK
-    if args.direction == "sf2cf":
+    elif args.direction == "sf2cf":
         if not isinstance(inst, StandardInstance):
             raise ValueError("sf2cf needs a standard-form instance")
         dst, rmap = sf_to_cf(inst)
         if dst is None:
             return _emit_outcome(rmap.metadata["direct"])
-        print(serialize_instance(dst))
-        return EXIT_OK
-    # classic: reinterpret the standard-form fields as A x = b, 0 <= x <= u
-    if not isinstance(inst, StandardInstance) or inst.A is None:
-        raise ValueError("classic reduction needs equality rows")
-    dst, _rmap = classic_to_generalized(inst.A, inst.b, inst.c, inst.u)
+    else:  # classic: reinterpret the standard-form fields as A x = b, 0 <= x <= u
+        if not isinstance(inst, StandardInstance) or inst.A is None:
+            raise ValueError("classic reduction needs equality rows")
+        dst, _rmap = classic_to_generalized(inst.A, inst.b, inst.c, inst.u)
     print(serialize_instance(dst))
     return EXIT_OK
 
@@ -261,25 +127,22 @@ def cmd_normalize(args) -> int:
     if not isinstance(inst, CanonicalInstance):
         raise ValueError("normalize applies to canonical instances")
     lp = solve_lp(inst)
-    if lp.status == "optimal":
-        base = lp.base
-    else:
-        base = []
-        for i in range(inst.A.rows):
-            if rank(inst.A.take_rows(base + [i])) == len(base) + 1:
-                base.append(i)
-            if len(base) == inst.n:
-                break
-        if len(base) < inst.n:
-            raise ValueError("no nonsingular base found")
+    base = lp.base if lp.status == "optimal" else _greedy_base(inst.A)
     normalized, _record = normalize(inst, tuple(base))
     print(serialize_instance(normalized))
     return EXIT_OK
 
 
+def _vertex_count_bound(inst: CanonicalInstance, delta: int) -> float:
+    """The canonical vertex-count bound at s = m + bitlength(Delta) nonzeros."""
+    m = inst.A.rows - inst.n
+    s = min(inst.n + m, max(1, m + delta.bit_length()))
+    return float(bounds_mod.vertex_count_bound(inst.n, m, s, delta, form="cf"))
+
+
 def cmd_bounds(args) -> int:
     inst = load_instance(args.file)
-    form = _form_of(inst)
+    form = form_of(inst)
     _emit("form", form)
     if form == "group":
         _emit("group.order", inst.group.order)
@@ -298,11 +161,7 @@ def cmd_bounds(args) -> int:
                 "proximity.l1",
                 bounds_mod.proximity_bound_bounded(m, stats.delta, 1),
             )
-        s = min(n + m, max(1, m + stats.delta.bit_length()))
-        _emit(
-            "vertex_count",
-            float(bounds_mod.vertex_count_bound(n, m, s, stats.delta, form="cf")),
-        )
+        _emit("vertex_count", _vertex_count_bound(inst, stats.delta))
         return EXIT_OK
     n, m = inst.n, inst.m
     delta = minor_stats(inst.A).delta if inst.A is not None else 1
@@ -321,7 +180,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = load_instance(args.file)
-    form = _form_of(inst)
+    form = form_of(inst)
     checks: list[tuple[str, bool, str]] = []
     if form == "group":
         if args.suite in ("hull", "all"):
@@ -331,7 +190,7 @@ def cmd_verify(args) -> int:
                     ("hull-vertex-product", ok, f"{prod} <= {inst.group.order}")
                 )
     elif form == "cf":
-        box = _enclosing_box(inst)
+        box = enclosing_box(inst)
         verts = hull_vertices(inst, box)
         if args.suite in ("sparsity", "proximity", "all"):
             report = bounds_mod.verify_instance_bounds(inst, verts)
@@ -344,19 +203,8 @@ def cmd_verify(args) -> int:
                 if want is None or e.name in want:
                     checks.append((e.name, e.passed, f"{e.lhs} vs {e.rhs}"))
         if args.suite in ("hull", "all"):
-            stats = minor_stats(inst.A)
-            m = inst.A.rows - inst.n
-            s = min(inst.n + m, max(1, m + stats.delta.bit_length()))
-            bound = bounds_mod.vertex_count_bound(
-                inst.n, m, s, stats.delta, form="cf"
-            )
-            checks.append(
-                (
-                    "hull-vertex-count",
-                    len(verts) <= float(bound),
-                    f"{len(verts)} <= {float(bound):.1f}",
-                )
-            )
+            bound = _vertex_count_bound(inst, minor_stats(inst.A).delta)
+            checks.append(("hull-vertex-count", len(verts) <= bound, f"{len(verts)} <= {bound:.1f}"))
     else:
         raise ValueError("verify supports canonical and group instances")
     for name, ok, detail in checks:
@@ -437,21 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve an instance file")
     s.add_argument("file")
     s.add_argument("--form", choices=["auto", "cf", "sf", "group"], default="auto")
-    s.add_argument(
-        "--algo",
-        choices=[
-            "auto",
-            "bounded-dp",
-            "unbounded-dp",
-            "gomory",
-            "cyclic",
-            "local",
-            "knapsack",
-            "subset-sum",
-            "oracle",
-        ],
-        default="auto",
-    )
+    s.add_argument("--algo", choices=["auto", *ALGORITHMS], default="auto")
     s.add_argument("--variant", choices=["queue", "binarized"], default="queue")
     s.set_defaults(func=cmd_solve)
 

@@ -119,11 +119,14 @@ class HnfResult:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Smith form: A = P * [S; 0] * Q with P, Q unimodular, S diagonal."""
+    """Smith form: A = P * [S; 0] * Q with P, Q unimodular, S diagonal, and
+    the inverses P_inv, Q_inv of the two factors."""
 
     S: IntMat
     P: IntMat
     Q: IntMat
+    P_inv: IntMat
+    Q_inv: IntMat
 
 
 @dataclass(frozen=True)
@@ -298,33 +301,43 @@ def hnf(A: IntMat) -> HnfResult:
 
 
 def snf(A: IntMat) -> SnfResult:
-    """Smith normal form A = P * [S; 0] * Q for full-column-rank A."""
+    """Smith normal form A = P * [S; 0] * Q for full-column-rank A, with
+    P^{-1} and Q^{-1} built from the same elementary operations."""
     n = A.cols
     rows = A.rows
     w = [list(row) for row in A.entries]
     p = IntMat.identity(rows).to_lists()
+    p_inv = [row[:] for row in p]
     q = IntMat.identity(n).to_lists()
+    q_inv = [row[:] for row in q]
 
+    # a row operation E on w gives P * E^{-1} and E * P^{-1}; a column
+    # operation E gives E^{-1} * Q and Q^{-1} * E
     def row_op_add(dst: int, src: int, k: int) -> None:
         _add_row(w, dst, src, k)
-        # (P * E^{-1}): subtract k * column dst from column src of P
+        _add_row(p_inv, dst, src, k)
+        # subtract k * column dst from column src of P
         for prow in p:
             prow[src] -= k * prow[dst]
 
     def row_op_swap(i: int, j: int) -> None:
         _swap_rows(w, i, j)
+        _swap_rows(p_inv, i, j)
         _swap_cols(p, i, j)
 
     def row_op_neg(i: int) -> None:
         _neg_row(w, i)
+        _neg_row(p_inv, i)
         _neg_col(p, i)
 
     def col_op_add(dst: int, src: int, k: int) -> None:
         _add_col(w, dst, src, k)
+        _add_col(q_inv, dst, src, k)
         _add_row(q, src, dst, -k)
 
     def col_op_swap(i: int, j: int) -> None:
         _swap_cols(w, i, j)
+        _swap_cols(q_inv, i, j)
         _swap_rows(q, i, j)
 
     for k in range(n):
@@ -381,7 +394,7 @@ def snf(A: IntMat) -> SnfResult:
         if w[k][k] < 0:
             row_op_neg(k)
     s = IntMat.from_rows([[w[i][i] if i == j else 0 for j in range(n)] for i in range(n)])
-    return SnfResult(S=s, P=IntMat.from_rows(p), Q=IntMat.from_rows(q))
+    return SnfResult(s, *(IntMat.from_rows(f) for f in (p, q, p_inv, q_inv)))
 
 
 def minor_stats(A: IntMat, order: int | None = None) -> MinorStats:
@@ -427,8 +440,8 @@ def delta_gcd(A: IntMat) -> int:
 
 class ParallelepipedLattice:
     """The integer points y with A^{-1} y in an axis box, for one nonsingular
-    square A decomposed once (det, Smith form, inverse Smith factor) and any
-    number of boxes.
+    square A decomposed once (Smith form and its inverse right factor) and
+    any number of boxes.
 
     A^{-1} Z^n is the union of R = |det A| cosets t + Z^n, t in [0, 1)^n.
     Row k of ``t_num`` (shape (R, n)) holds coset k's t as integer
@@ -444,12 +457,10 @@ class ParallelepipedLattice:
         n = A.cols
         if A.rows != n:
             raise DimensionError("square matrix required")
-        if det(A) == 0:
-            raise RankError("singular matrix")
         self.A = A
-        decomp = snf(A)
+        decomp = snf(A)  # raises RankError when A is singular
         s_diag = [decomp.S.entries[i][i] for i in range(n)]
-        q_inv = unimodular_inverse(decomp.Q)
+        q_inv = decomp.Q_inv
         a = A.entries
         # Smith divisibility: every s_i divides s_n, so t = T / s_n with T integral
         self.top = top = s_diag[-1]

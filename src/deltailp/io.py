@@ -195,8 +195,3 @@ def serialize_instance(instance: Instance) -> str:
 def load_instance(path: str) -> Instance:
     with open(path, encoding="utf-8") as fh:
         return parse_instance(fh.read())
-
-
-def save_instance(path: str, instance: Instance) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_instance(instance))

@@ -90,7 +90,7 @@ def cf_to_sf(src: CanonicalInstance) -> tuple[StandardInstance, ReductionMap]:
     if not all(is_finite(v) for v in src.b_l):
         raise ValueError("reduction requires finite lower bounds")
     s = snf(src.A)
-    pp = unimodular_inverse(s.P)  # src.A = pp^{-1} [S; 0] Q^{-1}
+    pp = s.P_inv  # src.A = pp^{-1} [S; 0] Q
     diag = [s.S.entries[i][i] for i in range(n)]
 
     pbl = pp.matvec(src.b_l)
@@ -306,10 +306,9 @@ def classic_to_generalized(
     """
     m, n = A.rows, A.cols
     s = snf(A.transpose())  # A^T = P1 [S; 0] Q1, so A = Q1^T [S | 0] P1^T
-    ptilde = s.Q.transpose()  # m x m unimodular left factor
     qtilde = s.P.transpose()  # n x n unimodular right factor
     sdiag = [s.S.entries[i][i] for i in range(m)]
-    pb = unimodular_inverse(ptilde).matvec(b)
+    pb = s.Q_inv.transpose().matvec(b)  # (Q1^T)^{-1} b, Q1^T the m x m left factor
     bprime = []
     for i in range(m):
         if pb[i] % sdiag[i] != 0:

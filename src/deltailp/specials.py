@@ -40,7 +40,6 @@ from .intlinalg import (
     minor_stats,
     rank,
     snf,
-    unimodular_inverse,
 )
 from .model import (
     POS_INF,
@@ -78,16 +77,17 @@ def _check_base(instance: CanonicalInstance, base: Sequence[int]) -> tuple[int, 
         raise ValueError("base must pick n distinct rows")
     if any(i < 0 or i >= instance.A.rows for i in idx):
         raise ValueError("base row index out of range")
-    if det(instance.A.take_rows(list(idx))) == 0:
-        raise ValueError("base rows are singular, no vertex")
     return idx
 
 
 def _inverse(a_b: IntMat) -> tuple[IntMat, int]:
     """(adj, den) with A_B^{-1} = adj / den and den = |det A_B| > 0: the
-    adjugate times the sign of the determinant.  Raises RankError when A_B
-    is singular."""
-    adj, d = cramer(a_b, IntMat.identity(a_b.rows))
+    adjugate times the sign of the determinant.  Raises RankError, a
+    ValueError, when A_B is singular."""
+    try:
+        adj, d = cramer(a_b, IntMat.identity(a_b.rows))
+    except RankError:
+        raise RankError("base rows are singular, no vertex") from None
     return (adj, d) if d > 0 else (adj.scale(-1), -d)
 
 
@@ -110,7 +110,7 @@ def _corner_max(a_b: IntMat, b_b: Sequence[int], c: Sequence[int]):
     # integrality of x = A_B^{-1}(b_B - y) as a residue condition on y
     fact = snf(a_b)
     moduli = tuple(fact.S.entries[i][i] for i in range(n))
-    inv_p = unimodular_inverse(fact.P)
+    inv_p = fact.P_inv
     grp = GroupSpec(moduli)
     gens = tuple(
         tuple(inv_p.entries[k][i] % moduli[k] for k in range(n)) for i in range(n)

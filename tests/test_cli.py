@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import deltailp
 import deltailp.cli as cli_mod
+from deltailp import solver
 from deltailp.cli import (
     EXIT_CAP,
     EXIT_FAIL,
@@ -18,7 +20,7 @@ from deltailp.cli import (
     main,
 )
 from deltailp.intlinalg import IntMat, minor_stats
-from deltailp.io import parse_instance, serialize_instance
+from deltailp.io import load_instance, parse_instance, serialize_instance
 from deltailp.lp import solve_lp
 from deltailp.model import POS_INF, CertificateError, StandardInstance, validate
 from deltailp.oracle import brute_force_ilp
@@ -136,7 +138,7 @@ class TestSolve:
         def deep(*args, **kwargs):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr(cli_mod, "solve_bilp_sf", deep)
+        monkeypatch.setattr(solver, "solve_bilp_sf", deep)
         code = main(["solve", cf_file])
         captured = capsys.readouterr()
         assert code == EXIT_CAP
@@ -161,7 +163,7 @@ class TestSolve:
         def rejected(*args, **kwargs):
             raise CertificateError("DP produced an infeasible witness")
 
-        monkeypatch.setattr(cli_mod, "solve_bilp_sf", rejected)
+        monkeypatch.setattr(solver, "solve_bilp_sf", rejected)
         code = main(["solve", cf_file])
         captured = capsys.readouterr()
         assert code == EXIT_FAIL
@@ -207,6 +209,46 @@ class TestSolve:
         assert pairs["algo"] == "unbounded-dp"
         assert pairs["status"] == ref.status == "optimal"
         assert pairs["value"] == str(ref.value) == "3"
+
+
+FORM_FILES = {"group": "group_file", "cf": "cf_file", "sf": "knapsack_file"}
+ALGOS = ["bounded-dp", "unbounded-dp", "gomory", "cyclic", "local", "knapsack", "subset-sum", "oracle"]
+# (form, algo) pairs that no runner accepts
+REFUSED = {
+    ("group", "bounded-dp"),
+    ("group", "unbounded-dp"),
+    ("cf", "unbounded-dp"),
+    ("cf", "gomory"),
+    ("cf", "cyclic"),
+    ("sf", "gomory"),
+    ("sf", "cyclic"),
+}
+
+
+class TestApplicability:
+    @pytest.mark.parametrize("algo", ALGOS)
+    @pytest.mark.parametrize("form", sorted(FORM_FILES))
+    def test_every_pair_answers_or_refuses(self, capsys, request, form, algo):
+        path = request.getfixturevalue(FORM_FILES[form])
+        code = main(["solve", path, "--algo", algo])
+        captured = capsys.readouterr()
+        assert code in (0, EXIT_INFEASIBLE, 3, EXIT_INPUT)
+        assert "Traceback" not in captured.out + captured.err
+        if (form, algo) in REFUSED:
+            assert code == EXIT_INPUT
+            detail = f"algorithm {algo} does not apply to {form} instances"
+            assert kv(captured.out)["error.detail"] == detail
+
+    @pytest.mark.parametrize("form", sorted(FORM_FILES))
+    def test_library_entry_point_matches_cli(self, capsys, request, form):
+        path = request.getfixturevalue(FORM_FILES[form])
+        out = deltailp.solve(load_instance(path))
+        code, text = run(capsys, "solve", path)
+        pairs = kv(text)
+        assert code == 0
+        assert pairs["status"] == out.status == "optimal"
+        assert pairs["x"] == " ".join(map(str, out.x))
+        assert pairs["value"] == str(out.value)
 
 
 class TestParser:
@@ -275,6 +317,15 @@ class TestPipelines:
         assert code == 0
         inst = parse_instance(out)
         assert validate(inst) == []
+
+    def test_normalize_rank_deficient(self, capsys, tmp_path):
+        path = tmp_path / "rd.json"
+        path.write_text(
+            json.dumps({"form": "bilp-cf", "A": [[1, 2], [2, 4]], "b_l": [0, 0], "b_r": [3, 6], "c": [1, 1]})
+        )
+        code, out = run(capsys, "normalize", str(path))
+        assert code == EXIT_INPUT
+        assert kv(out)["error.detail"] == "matrix does not have full column rank"
 
     def test_bounds_report(self, capsys, cf_file):
         code, out = run(capsys, "bounds", cf_file)

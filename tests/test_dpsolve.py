@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deltailp import cli, dpsolve, intlinalg
+from deltailp import cli, dpsolve, intlinalg, solver
 from deltailp.dpsolve import (
     _block_min,
     _default_chi,
@@ -1278,9 +1278,9 @@ class TestBaseOnce:
             counts["minor_stats"] = 0
             if want is ValueError:
                 with pytest.raises(ValueError, match="locality condition fails"):
-                    cli._solve_cf_local(inst, require_local)
+                    solver._solve_cf_local(inst, require_local)
             else:
-                assert cli._solve_cf_local(inst, require_local).status == want
+                assert solver._solve_cf_local(inst, require_local).status == want
             assert counts["minor_stats"] == calls
 
 

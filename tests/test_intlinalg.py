@@ -333,6 +333,8 @@ class TestSnf:
         assert res.P.mul(padded).mul(res.Q) == a
         assert abs(det(res.P)) == 1
         assert abs(det(res.Q)) == 1
+        assert res.P.mul(res.P_inv) == IntMat.identity(a.rows)
+        assert res.Q.mul(res.Q_inv) == IntMat.identity(n)
         diag = [res.S.entries[i][i] for i in range(n)]
         assert all(d > 0 for d in diag)
         for i in range(n - 1):
@@ -344,6 +346,7 @@ class TestSnf:
         assert res.S == IntMat.identity(3)
         assert res.P == IntMat.identity(3)
         assert res.Q == IntMat.identity(3)
+        assert res.P_inv == res.Q_inv == IntMat.identity(3)
 
     def test_divisible_diagonal_kept(self):
         assert self.check(IntMat.from_rows([[2, 0], [0, 4]])) == [2, 4]

@@ -10,10 +10,18 @@ from pathlib import Path
 
 import pytest
 
+from deltailp import specials
 from deltailp.cli import _fmt
 from deltailp.groupmin import gomory_solve
 from deltailp.intlinalg import IntMat, det, minor_stats, rank, snf
-from deltailp.model import NEG_INF, POS_INF, CanonicalInstance, GroupInstance, GroupSpec
+from deltailp.model import (
+    NEG_INF,
+    POS_INF,
+    CanonicalInstance,
+    GroupInstance,
+    GroupSpec,
+    SolveOutcome,
+)
 from deltailp.oracle import brute_force_ilp
 from deltailp.rng import stream
 from deltailp.specials import (
@@ -88,6 +96,12 @@ class TestSolveLocal:
         inst = one_sided([[1, 0], [0, 1]], (3, 3), (-1, 0))
         out = solve_local(inst, (0, 1))
         assert out.status == "unbounded"
+
+    def test_singular_base_message(self):
+        inst = one_sided([[1, 0], [2, 0], [0, 1]], (1, 2, 3), (1, 1))
+        for check in (locality_test, solve_local):
+            with pytest.raises(ValueError, match="^base rows are singular, no vertex$"):
+                check(inst, (0, 1))
 
     def test_local_instances_solved_globally(self):
         rng = random.Random(77)
@@ -184,6 +198,64 @@ class TestSimplexFeasibility:
                 az = a.matvec(list(out.x))
                 assert all(q <= r for q, r in zip(az, b))
             done += 1
+
+
+def force_corner_slack(monkeypatch, slack):
+    """Make the corner group DP answer ``slack``: a feasible group solution,
+    in the right residue class, that is not the optimum."""
+
+    def corner_group(inst):
+        value = sum(q * y for q, y in zip(inst.costs, slack))
+        return SolveOutcome(status="optimal", x=slack, value=value)
+
+    monkeypatch.setattr(specials, "gomory_solve", corner_group)
+
+
+class TestChecksFail:
+    # Each witness breaks its key's bound by so little that the bound with
+    # the wrong |det A_B| scaling, or one unit looser, would accept it.
+    LOCAL = {  # key: (A rows, b_r, c, corner slack) at the base (0, 1)
+        "move_l0": ([[0, -1], [-3, 0], [2, 3]], (2, 1, -3), (-6, -1), (1, 1)),
+        "move_l1": ([[1, -3], [0, 2], [3, -2]], (-4, 4, 0), (2, -6), (2, 0)),
+        "move_linf": ([[-1, -1], [-1, 1], [1, 1]], (-3, 3, -3), (-3, 1), (0, 2)),
+        "residual_l0": ([[0, 1], [3, -2], [-2, 2]], (-3, -3, -3), (3, 0), (1, 1)),
+        "residual_l1": ([[2, -2], [-3, 1]], (2, 0), (-1, -1), (2, 2)),
+        "residual_linf": ([[1, 0], [-1, -2], [1, 2]], (4, 4, -4), (0, -2), (2, 0)),
+        "face_dimension": ([[0, 2], [-1, 0], [1, 2]], (1, 3, -2), (-1, 2), (1, 1)),
+    }
+    # key: (A rows, b, corner slack, verdict).  residual_l0 can only read
+    # False on the infeasible verdict: on a feasible one the same bound
+    # raises CertificateError.
+    SIMPLEX = {
+        "move_l0": ([[-1, 3], [2, 3], [-1, -3]], (2, 6, -3), (1, 1), "optimal"),
+        "move_l1": ([[-2, 0], [3, 2], [0, -1]], (0, -2, 4), (2, 0), "optimal"),
+        "move_linf": ([[2, 2], [2, -2], [-2, -1]], (6, 3, -3), (0, 2), "optimal"),
+        "residual_l0": ([[2, 0], [-2, 3], [-3, -1]], (-3, -4, -3), (1, 1), "infeasible"),
+    }
+
+    @pytest.mark.parametrize("key", sorted(LOCAL))
+    def test_solve_local(self, monkeypatch, key):
+        rows, b, c, slack = self.LOCAL[key]
+        inst = one_sided(rows, b, c)
+        best = solve_local(inst, (0, 1))
+        assert all(best.certificate["checks"].values())
+        force_corner_slack(monkeypatch, slack)
+        out = solve_local(inst, (0, 1))
+        assert out.certificate["corner_slack"] == slack
+        assert out.value < best.value
+        assert out.certificate["checks"][key] is False
+
+    @pytest.mark.parametrize("key", sorted(SIMPLEX))
+    def test_simplex_feasibility(self, monkeypatch, key):
+        rows, b, slack, verdict = self.SIMPLEX[key]
+        a = IntMat.from_rows(rows)
+        best = simplex_feasibility(a, b)
+        assert all(best.certificate["checks"].values())
+        force_corner_slack(monkeypatch, slack)
+        out = simplex_feasibility(a, b)
+        assert out.status == best.status == verdict
+        assert out.certificate["corner_minimum"] > best.certificate["corner_minimum"]
+        assert out.certificate["checks"][key] is False
 
 
 class TestSubsetSum:
