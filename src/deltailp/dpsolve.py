@@ -13,11 +13,14 @@
   m = 1 a doubling DP over discrepancy-sized state windows combines two
   half solutions per level; level i covers solutions with l1 norm up to
   (6/5)^i.  Its window radius is 4 * mu with mu = 12 at every m = 1
-  instance.  Each level is one numpy array over (window point, residue);
-  unreachable entries hold big = 2^max(60, bitlen(max(c) * 2^rho)), which
-  exceeds every reachable value, so the tables are int64 when big = 2^60
-  (big + big cannot overflow) and exact Python ints (dtype object)
-  otherwise.  At m >= 2 the bounded DP runs on the proximity box of the
+  instance, and level i's window is the integer interval within
+  4 * mu * |a| of 2^i * b / 2^rho (a the base entry, b the target).  Each
+  level is one numpy array over (window point, residue code); unreachable
+  entries hold big = 2^max(60, bitlen(max(c) * 2^rho)), which exceeds
+  every reachable value, so the tables are int64 when big = 2^60 (big +
+  big cannot overflow) and exact Python ints (dtype object) otherwise.
+  The witness walks first splits level by level
+  (``groupmin._split_walk``, shared with the cyclic group DP).  At m >= 2 the bounded DP runs on the proximity box of the
   LP vertex; m = 0 is Gomory's group problem.
 - :func:`detect_unbounded` — decides unboundedness of an instance with
   arbitrary costs by solving the homogeneous problem restricted to the
@@ -63,8 +66,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from fractions import Fraction
 
+from .groupmin import _split_walk, gomory_solve
 from .intlinalg import IntMat, ParallelepipedLattice, max_det_submatrix
 from .lp import solve_lp
 from .model import (
@@ -318,7 +321,7 @@ def _base(instance: StandardInstance) -> tuple[tuple[int, ...], int]:
     RankError when A does not have full row rank."""
     if instance.A is None:
         return (), 1
-    return max_det_submatrix(instance.A.transpose(), mode="exact")
+    return max_det_submatrix(instance.A.transpose())
 
 
 def _state_lattice(
@@ -369,7 +372,7 @@ def _point_rows(coords):
     return row
 
 
-def _chains(coords, digits, moduli, strides, a_col, g_col):
+def _chains(coords, grp, a_col, g_col):
     """The chains of the layer graph s -> s + (a_col, g_col) on the states
     s = p * R + r (lattice point p, residue code r), as (order, depth,
     longest, cyclic) for :func:`_layout`.
@@ -384,6 +387,7 @@ def _chains(coords, digits, moduli, strides, a_col, g_col):
     """
     import numpy as np
 
+    digits = grp.digits
     n_pts, n_res = len(coords), len(digits)
     g = np.array(g_col, dtype=np.int64)
     nz = [i for i, v in enumerate(a_col) if v]
@@ -391,8 +395,8 @@ def _chains(coords, digits, moduli, strides, a_col, g_col):
         i = nz[0]
         t = coords[:, i] // a_col[i]
         rep = coords - t[:, None] * np.array(a_col, dtype=coords.dtype)
-        t_mod = (t % math.lcm(*moduli.tolist())).astype(np.int64)
-        res = ((digits[None] - t_mod[:, None, None] * g) % moduli) @ strides
+        t_mod = (t % math.lcm(*grp.moduli)).astype(np.int64)
+        res = grp.codes(digits[None] - t_mod[:, None, None] * g)
         labels = [res.ravel()] + [np.repeat(rep[:, j], n_res) for j in range(rep.shape[1])]
         order = np.lexsort([np.repeat(t, n_res)] + labels[::-1])
         new = np.zeros(len(order), dtype=bool)
@@ -403,14 +407,14 @@ def _chains(coords, digits, moduli, strides, a_col, g_col):
         heads = np.flatnonzero(new)
         depth = np.arange(len(order)) - heads[np.cumsum(new) - 1]
         return order, depth, int(depth.max()) + 1, False
-    length = math.lcm(*(d // math.gcd(int(v), d) for v, d in zip(g_col, moduli.tolist())))
+    length = math.lcm(*(d // math.gcd(v, d) for v, d in zip(g_col, grp.moduli)))
     codes = np.arange(n_res)
-    low, step, span = codes, ((digits + g) % moduli) @ strides, 1
+    low, step, span = codes, grp.codes(digits + g), 1
     while span < length:  # low[r] = min code of r, r + g, ..., r + (2 span - 1) g
         low, step, span = np.minimum(low, low[step]), step[step], 2 * span
     heads = np.flatnonzero(low == codes)
     walk = np.arange(length)[:, None] * g
-    cycles = ((digits[heads][:, None] + walk) % moduli) @ strides
+    cycles = grp.codes(digits[heads][:, None] + walk)
     order = (np.arange(n_pts)[:, None] * n_res + cycles.ravel()).ravel()
     return order, np.arange(len(order)) % length, length, True
 
@@ -459,11 +463,6 @@ def _layer_dp(instance, cols, steps, windows, target, radius, variant):
     a_max = max((abs(v) for a_col, _ in steps for v in a_col), default=0)
     if (y_max + 1) * (a_max + 1) >= 1 << 62:
         coords = coords.astype(object)
-    moduli = np.array(grp.moduli, dtype=np.int64)
-    strides = np.array(
-        [math.prod(grp.moduli[i + 1 :]) for i in range(len(grp.moduli))], dtype=np.int64
-    )
-    digits = np.arange(n_res)[:, None] // strides % moduli
 
     layers = np.full((n + 1, n_pts * n_res + 1), 2 * lim, dtype=dtype)
     layers[0, row(origin) * n_res] = 0  # the zero residue has code 0
@@ -473,7 +472,7 @@ def _layer_dp(instance, cols, steps, windows, target, radius, variant):
     plans: dict = {}
     for k, step in enumerate(steps):
         if step not in plans:
-            plans[step] = (_chains(coords, digits, moduli, strides, *step), {})
+            plans[step] = (_chains(coords, grp, *step), {})
         chains, layouts = plans[step]
         longest = chains[2]
         alpha, beta = windows[k]
@@ -644,27 +643,28 @@ def _doubling_rho(l1_bound: int) -> int:
     return rho
 
 
+def _doubling_window(centre: int, rho: int, reach: int) -> tuple[int, int]:
+    """(first, last): the integers y with |y - centre / 2^rho| <= reach form
+    the interval [ceil(centre / 2^rho) - reach, floor(centre / 2^rho) + reach]."""
+    return -(-centre >> rho) - reach, (centre >> rho) + reach
+
+
 def _unbounded_dp(instance, b_target, g_target, rho, base, radius):
-    """Doubling DP for m = 1 (contiguous state windows) over the 1 x 1
-    column base; returns (value, witness) or (None, None).
+    """Doubling DP for m = 1 over (window point, residue code) states;
+    returns (value, witness) or (None, None).
 
     Level i's window holds the y with |y / a - 2^i * b / (2^rho * a)| <=
-    radius (a the entry of the base, b the target), i.e. |y - 2^i *
-    b / 2^rho| <= radius * |a|, computed in integers from the centre 2^i * b
-    over 2^rho; the lattice's count of the same box confirms that the
-    window is one run of consecutive integers."""
+    radius (a the entry of the 1 x 1 base, b the target), i.e. the integers
+    within radius * |a| of 2^i * b / 2^rho (:func:`_doubling_window`).  The
+    witness walks the first split of each node down the levels
+    (:func:`~deltailp.groupmin._split_walk`)."""
     import numpy as np
 
-    n = instance.n
-    grp = instance.group
-    residues = grp.elements()
-    r_count = len(residues)
-    r_index = {r: i for i, r in enumerate(residues)}
-    radd = [[r_index[grp.add(a, b)] for b in residues] for a in residues]
-    rsub = [[r_index[grp.sub(a, b)] for b in residues] for a in residues]
-    b_mat = instance.A.submatrix([0], list(base))
-    lattice = ParallelepipedLattice(b_mat)
-    pivot, y_t = b_mat.entries[0][0], b_target[0]
+    n, grp = instance.n, instance.group
+    r_count, digits = grp.order, grp.digits
+    radd = grp.codes(digits[:, None] + digits[None]).tolist()
+    rsub = grp.codes(digits[:, None] - digits[None]).tolist()
+    reach, y_t = radius * abs(instance.A.entries[0][base[0]]), b_target[0]
 
     # A level-i value costs at most 2^i columns, so every finite entry, and
     # every sum of two level-(i-1) entries, is <= top < big.  With big = 2^60
@@ -675,23 +675,18 @@ def _unbounded_dp(instance, b_target, g_target, rho, base, radius):
     lo: list[int] = []
     arrays: list = []
     for i in range(rho + 1):
-        centre = y_t << i
-        first = -(-centre >> rho) - radius * abs(pivot)
-        last = (centre >> rho) + radius * abs(pivot)
-        count = lattice.count([Fraction(centre, pivot << rho)], radius)
-        if count != last - first + 1:
-            raise CertificateError("doubling window is not contiguous")
+        first, last = _doubling_window(y_t << i, rho, reach)
         lo.append(first)
         arrays.append(np.full((last - first + 1, r_count), big, dtype=dtype))
 
     a0 = arrays[0]
     if lo[0] <= 0 <= lo[0] + a0.shape[0] - 1:
-        a0[-lo[0], r_index[grp.zero]] = 0
+        a0[-lo[0], 0] = 0  # the zero residue has code 0
     col_of: dict = {}
     for j, (a_col, g_col) in enumerate(_steps(instance)):
         y = a_col[0]
         if lo[0] <= y <= lo[0] + a0.shape[0] - 1:
-            ri = r_index[g_col]
+            ri = grp.encode(g_col)
             if instance.c[j] < a0[y - lo[0], ri]:
                 a0[y - lo[0], ri] = instance.c[j]
                 col_of[(y, ri)] = j
@@ -734,57 +729,41 @@ def _unbounded_dp(instance, b_target, g_target, rho, base, radius):
                     col = cur[rows, radd[r2][r3]]
                     np.minimum(col, pad[:kk, q0:q1].min(axis=0), out=col)
 
+    r_t = grp.encode(g_target)
     if not (lo[rho] <= y_t <= lo[rho] + arrays[rho].shape[0] - 1):
         return None, None
-    top = int(arrays[rho][y_t - lo[rho], r_index[g_target]])
+    top = int(arrays[rho][y_t - lo[rho], r_t])
     if top >= big:
         return None, None
 
-    memo: dict = {}
-
-    def split(i, y, ri, v):
-        # first (y2, r2) in (y2, r2) scan order with
-        # prev[y2, r2] + prev[y - y2, ri - r2] == v; values are >= 0 and
-        # v < big, so a sum that hits v never involves an unreachable entry.
-        # Its temporaries die here, not on the stack of the recursion.
+    def split(i, node):
+        # the first (y2, r2) in (y2, r2) scan order with
+        # prev[y2, r2] + prev[y - y2, ri - r2] == the node's value; values
+        # are >= 0 and below big, so a sum that hits the value never
+        # involves an unreachable entry
+        y, ri = node
         prev, p_lo = arrays[i - 1], lo[i - 1]
+        v = int(arrays[i][y - lo[i], ri])
         off = y - 2 * p_lo  # index of y2 plus index of y - y2
         a = max(0, off - prev.shape[0] + 1)
         b = min(prev.shape[0] - 1, off)
-        if a > b:
-            return None
-        right = prev[off - b : off - a + 1][::-1][:, rsub[ri]]
-        hits = (prev[a : b + 1] + right == v).ravel()
-        first = int(hits.argmax())
-        if not hits[first]:
-            return None
-        i2, r2 = divmod(first, r_count)
-        return p_lo + a + i2, r2
+        if a <= b:
+            right = prev[off - b : off - a + 1][::-1][:, rsub[ri]]
+            hits = (prev[a : b + 1] + right == v).ravel()
+            first = int(hits.argmax())
+            if hits[first]:
+                i2, r2 = divmod(first, r_count)
+                y2 = p_lo + a + i2
+                return (y2, r2), (y - y2, rsub[ri][r2])
+        raise CertificateError("doubling table admits no consistent split")
 
-    def rec(i, y, ri):
-        key = (i, y, ri)
-        if key in memo:
-            return memo[key]
-        v = int(arrays[i][y - lo[i], ri])
-        if i == 0:
-            x = [0] * n
-            if (y, ri) in col_of:
-                x[col_of[(y, ri)]] = 1
-            elif not (y == 0 and ri == r_index[grp.zero] and v == 0):
-                raise CertificateError("level-0 entry matches no column")
-            memo[key] = x
-            return x
-        found = split(i, y, ri, v)
-        if found is None:
-            raise CertificateError("doubling table admits no consistent split")
-        y2, r2 = found
-        x1 = rec(i - 1, y2, r2)
-        x2 = rec(i - 1, y - y2, rsub[ri][r2])
-        x = [s + t for s, t in zip(x1, x2)]
-        memo[key] = x
-        return x
-
-    return top, rec(rho, y_t, r_index[g_target])
+    x = [0] * n
+    for (y, ri), mult in _split_walk((y_t, r_t), rho, split).items():
+        if (y, ri) in col_of:
+            x[col_of[(y, ri)]] += mult
+        elif not (y == 0 and ri == 0 and a0[y - lo[0], ri] == 0):
+            raise CertificateError("level-0 entry matches no column")
+    return top, x
 
 
 def solve_ilp_sf_unbounded(
@@ -816,10 +795,7 @@ def solve_ilp_sf_unbounded(
     n, m = instance.n, instance.m
 
     if m == 0:
-        from .groupmin import gomory_solve
-
-        out = gomory_solve(_as_group_instance(instance))
-        return out
+        return gomory_solve(_as_group_instance(instance))
 
     lp = solve_lp(instance)
     if lp.status == "infeasible":

@@ -6,9 +6,13 @@ finite Abelian group G:
 - :func:`gomory_solve` — dynamic program over the |G| group elements,
   relaxing one generator at a time along its cyclic orbits, in
   O(min(n, |G|) * |G|) group operations after deduplicating generators.
+  Elements are the codes of ``GroupSpec.encode``; a generator's orbit step
+  is one table g -> g + generator built by ``GroupSpec.codes``.
 - :func:`cyclic_minplus_solve` — for cyclic G, doubling over
   ceil(log_{3/2} |G|) levels, each one cyclic (min,+) self-convolution of
-  the previous level, held as one numpy array of packed integers.
+  the previous level, held as one numpy array of packed integers.  Its
+  witness walks the stored first-argmin splits level by level with
+  :func:`_split_walk`, which the m = 1 doubling DP of ``dpsolve`` shares.
 
 Both tie-break the optimum by minimal l1 norm, so the returned witness
 inherits the vertex-norm guarantee ||x||_1 <= |G| - 1; a witness that
@@ -67,6 +71,7 @@ def gomory_solve(instance: GroupInstance) -> SolveOutcome:
     order = grp.order
     gens = _dedup_generators(instance)
     target = grp.encode(grp.reduce(instance.target))
+    digits = grp.digits
 
     dist: list[tuple[int, int] | None] = [None] * order
     dist[0] = (0, 0)
@@ -75,7 +80,7 @@ def gomory_solve(instance: GroupInstance) -> SolveOutcome:
     parents: list[dict[int, int]] = []
     for code, cost, _idx in gens:
         stage: dict[int, int] = {}
-        elem = grp.decode(code)
+        nxt = grp.codes(digits + digits[code]).tolist()  # g -> g + generator
         seen = [False] * order
         for start in range(order):
             if seen[start]:
@@ -85,7 +90,7 @@ def gomory_solve(instance: GroupInstance) -> SolveOutcome:
             while not seen[g]:
                 seen[g] = True
                 cycle.append(g)
-                g = grp.encode(grp.add(grp.decode(g), elem))
+                g = nxt[g]
             o = len(cycle)
             for step in range(2 * o):
                 g = cycle[step % o]
@@ -128,6 +133,25 @@ def _doubling_rounds(r: int) -> int:
     while 3**k < r * 2**k:
         k += 1
     return k
+
+
+def _split_walk(root, depth: int, split) -> dict:
+    """The leaves of a doubling witness, with multiplicities.
+
+    A level-k node stands for the sum of the two level-(k - 1) nodes
+    split(k, node) returns (no children: the node adds nothing).  Walking
+    from root at level depth down to level 0, one dict per level maps each
+    node to the number of paths that reach it, so a node is split once
+    however often it recurs.  Returns {level-0 node: multiplicity}.
+    """
+    level = {root: 1}
+    for k in range(depth, 0, -1):
+        below: dict = {}
+        for node, mult in level.items():
+            for child in split(k, node):
+                below[child] = below.get(child, 0) + mult
+        level = below
+    return level
 
 
 def _minplus_doubling(level, rounds: int, big: int):
@@ -197,19 +221,18 @@ def cyclic_minplus_solve(instance: GroupInstance) -> SolveOutcome:
     if packed >= big:
         return SolveOutcome.infeasible(certificate={"rounds": rounds})
 
+    def split(k, g):
+        if g == 0:
+            return ()
+        g2 = int(splits[k - 1][g])
+        return (g - g2) % r, g2
+
     index_of = {code: idx for code, _, idx in gens}
     x = [0] * instance.n
-    stack = [(rounds - 1, target)]
-    while stack:
-        k, g = stack.pop()
-        if g == 0:
-            continue
-        if k > 0:
-            g2 = int(splits[k - 1][g])
-            stack += [(k - 1, (g - g2) % r), (k - 1, g2)]
-        elif g in index_of:
-            x[index_of[g]] += 1
-        else:
+    for g, mult in _split_walk(target, rounds - 1, split).items():
+        if g in index_of:
+            x[index_of[g]] += mult
+        elif g != 0:
             raise WitnessError("level-1 entry matches no generator")
     value = sum(c * t for c, t in zip(instance.costs, x))
     if divmod(packed, K) != (value, sum(x)):

@@ -584,49 +584,19 @@ def _greedy_base(A: IntMat) -> list[int]:
     raise RankError("matrix does not have full column rank")
 
 
-def max_det_submatrix(A: IntMat, mode: str = "exact") -> tuple[tuple[int, ...], int]:
-    """Row index set B with det(A_B) of (near-)maximum absolute value.
+def max_det_submatrix(A: IntMat) -> tuple[tuple[int, ...], int]:
+    """Row index set B with det(A_B) of maximum absolute value.
 
-    Exact mode enumerates all n-row subsets (desk scale only) and returns
-    the lexicographically smallest argmax.  Greedy mode starts from the
-    first full-rank row set and repeatedly applies the best single row
-    exchange.  Returns (row indices, achieved |det|); raises RankError when
-    A does not have full column rank.
+    Enumerates all n-row subsets (desk scale only) and returns the
+    lexicographically smallest argmax with its |det|; raises RankError
+    when A does not have full column rank.
     """
-    n = A.cols
-    if mode == "exact":
-        best: tuple[int, ...] | None = None
-        best_val = 0
-        for ri in itertools.combinations(range(A.rows), n):
-            v = abs(det(A.take_rows(ri)))
-            if v > best_val:
-                best, best_val = ri, v
-        if best is None:  # every n x n minor vanishes
-            raise RankError("matrix does not have full column rank")
-        return best, best_val
-    if mode != "greedy":
-        raise ValueError("mode must be 'exact' or 'greedy'")
-    base = _greedy_base(A)
-    cur = abs(det(A.take_rows(base)))
-    improved = True
-    while improved:
-        improved = False
-        best_swap = None
-        best_val = cur
-        in_base = set(base)
-        for pos in range(n):
-            for i in range(A.rows):
-                if i in in_base:
-                    continue
-                trial = list(base)
-                trial[pos] = i
-                v = abs(det(A.take_rows(sorted(trial))))
-                if v > best_val:
-                    best_val = v
-                    best_swap = (pos, i)
-        if best_swap is not None:
-            base[best_swap[0]] = best_swap[1]
-            base = sorted(base)
-            cur = best_val
-            improved = True
-    return tuple(base), cur
+    best: tuple[int, ...] | None = None
+    best_val = 0
+    for ri in itertools.combinations(range(A.rows), A.cols):
+        v = abs(det(A.take_rows(ri)))
+        if v > best_val:
+            best, best_val = ri, v
+    if best is None:  # every n x n minor vanishes
+        raise RankError("matrix does not have full column rank")
+    return best, best_val

@@ -9,9 +9,11 @@ Schema per form (all keys required unless noted):
 
 * ilp-cf / bilp-cf: A, b_l (entries int or "-inf"; ilp-cf forces all
   "-inf"), b_r, c.
-* ilp-sf / bilp-sf: A (empty array when there are no equality rows), G, S,
-  b, g, u (entries int or "+inf"; ilp-sf forces all "+inf"), c.
-* group: moduli, generators, target, costs, bounds (entries int or "+inf").
+* ilp-sf / bilp-sf: A (empty array when there are no equality rows), G, S
+  (diagonal, entries >= 1), b, g, u (entries int >= 0 or "+inf"; ilp-sf
+  forces all "+inf"), c.
+* group: moduli (entries >= 1), generators, target, costs, bounds (entries
+  int >= 0 or "+inf").
 """
 
 from __future__ import annotations
@@ -72,6 +74,12 @@ def _vector(v: Any, where: str, allow: str | None = None) -> tuple:
     return tuple(_ext(e, where, allow) for e in v)
 
 
+def _at_least(v: tuple, low: int, where: str) -> tuple:
+    if any(is_finite(e) and e < low for e in v):
+        raise FormatError(f"{where}: entries must be >= {low}")
+    return v
+
+
 def parse_instance(text: str) -> Instance:
     try:
         data = json.loads(text)
@@ -111,7 +119,11 @@ def parse_instance(text: str) -> Instance:
         s_mat = _matrix(data["S"], "S")
         if (g_mat is None) != (s_mat is None):
             raise FormatError("G and S must both be present or both empty")
-        u = _vector(data["u"], "u", allow="+inf")
+        if s_mat is not None and (s_mat.rows != s_mat.cols or any(
+            row[i] < 1 or row.count(0) != len(row) - 1 for i, row in enumerate(s_mat.entries)
+        )):
+            raise FormatError("S must be diagonal with entries >= 1")
+        u = _at_least(_vector(data["u"], "u", allow="+inf"), 0, "u")
         if form == "ilp-sf" and any(is_finite(v) for v in u):
             raise FormatError("ilp-sf requires every u entry to be \"+inf\"")
         c = _vector(data["c"], "c")
@@ -139,11 +151,11 @@ def parse_instance(text: str) -> Instance:
         if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
             raise FormatError("generators: expected an array of element arrays")
         return GroupInstance(
-            group=GroupSpec(moduli=_vector(data["moduli"], "moduli")),
+            group=GroupSpec(moduli=_at_least(_vector(data["moduli"], "moduli"), 1, "moduli")),
             generators=tuple(_vector(g, "generators") for g in gens),
             target=_vector(data["target"], "target"),
             costs=_vector(data["costs"], "costs"),
-            bounds=_vector(data["bounds"], "bounds", allow="+inf"),
+            bounds=_at_least(_vector(data["bounds"], "bounds", allow="+inf"), 0, "bounds"),
         )
     raise FormatError(
         "form must be one of ilp-cf, bilp-cf, ilp-sf, bilp-sf, group"

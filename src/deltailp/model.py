@@ -198,12 +198,29 @@ class GroupSpec:
             code = code * d + (e % d)
         return code
 
-    def decode(self, code: int) -> tuple[int, ...]:
-        out = []
-        for d in reversed(self.moduli):
-            out.append(code % d)
-            code //= d
-        return tuple(reversed(out))
+    @cached_property
+    def _radix(self):
+        """(moduli, strides) as int64 arrays: a code is digits @ strides."""
+        import numpy as np
+
+        strides = [math.prod(self.moduli[i + 1 :]) for i in range(len(self.moduli))]
+        return np.array(self.moduli, dtype=np.int64), np.array(strides, dtype=np.int64)
+
+    @cached_property
+    def digits(self):
+        """(order, k) int64 array whose row r holds the digits of code r,
+        so its rows run in :meth:`encode` / :meth:`elements` order."""
+        import numpy as np
+
+        moduli, strides = self._radix
+        return np.arange(self.order, dtype=np.int64)[:, None] // strides % moduli
+
+    def codes(self, digits):
+        """Codes of an integer array whose last axis holds digits, each
+        digit first reduced mod its modulus: residue arithmetic on codes is
+        ``codes(digits[a] +/- digits[b])``."""
+        moduli, strides = self._radix
+        return (digits % moduli) @ strides
 
     @property
     def zero(self) -> tuple[int, ...]:

@@ -99,7 +99,7 @@ def cf_to_sf(src: CanonicalInstance) -> tuple[StandardInstance, ReductionMap]:
     gmat = [list(pp.row(i)) for i in range(n)]
     gvec = [-pbl[i] for i in range(n)]
 
-    base, _absdet = max_det_submatrix(src.A, mode="exact")
+    base, _absdet = max_det_submatrix(src.A)
     adj, d_base = cramer(src.A.take_rows(base), IntMat.identity(n))
     sign = 1 if d_base > 0 else -1
     chat0 = [0] * (n + m)

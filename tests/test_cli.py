@@ -129,6 +129,30 @@ class TestSolve:
         assert code == EXIT_INFEASIBLE
         assert kv(out)["status"] == "infeasible"
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"form": "ilp-sf", "A": [[1, 0]], "G": [[0, 1]], "S": [[0]], "b": [1],
+             "g": [0], "u": ["+inf", "+inf"], "c": [1, 1]},
+            {"form": "group", "moduli": [0], "generators": [[1]], "target": [0],
+             "costs": [1], "bounds": ["+inf"]},
+            {"form": "bilp-sf", "A": [[1, 1]], "G": [[0, 1]], "S": [[1]], "b": [2],
+             "g": [0], "u": [-1, 3], "c": [1, 1]},
+        ],
+        ids=["S-zero", "modulus-zero", "u-negative"],
+    )
+    def test_invalid_numbers_exit_input(self, capsys, tmp_path, data):
+        # a zero modulus would divide by zero in the solvers and the
+        # feasibility check, and a negative upper bound would be answered
+        # "infeasible"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = main(["solve", str(path)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert kv(out)["error"] == "input"
+        assert "Traceback" not in out + err
+
     def test_missing_file(self, capsys):
         code, out = run(capsys, "solve", "/no/such/file.json")
         assert code == EXIT_INPUT

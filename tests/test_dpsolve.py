@@ -17,6 +17,7 @@ from deltailp import cli, dpsolve, intlinalg, solver
 from deltailp.dpsolve import (
     _block_min,
     _default_chi,
+    _doubling_window,
     _layer_dp,
     _layout,
     _queue_step,
@@ -30,6 +31,7 @@ from deltailp.dpsolve import (
 )
 from deltailp.intlinalg import (
     IntMat,
+    ParallelepipedLattice,
     RankError,
     det,
     max_det_submatrix,
@@ -961,6 +963,27 @@ def spy_level_dtypes(monkeypatch):
 
     monkeypatch.setattr(np, "full", spy)
     return seen
+
+
+def test_doubling_window_is_the_lattice_box():
+    # level i of the m = 1 doubling DP holds the y of the lattice of [a] in
+    # the box |y / a - c / (2^rho a)| <= 48, c = b * 2^i: the window formula
+    # counts exactly those points, and its ends are the outermost ones
+    radius = 48
+    for a in (*range(1, 8), *range(-7, 0)):
+        lattice = ParallelepipedLattice(IntMat.from_rows([[a]]))
+        reach = radius * abs(a)
+        for b in range(-60, 61):
+            for rho in range(1, 9):
+                for i in range(rho + 1):
+                    c = b << i
+                    first, last = _doubling_window(c, rho, reach)
+                    assert last - first + 1 == lattice.count(
+                        [Fraction(c, a << rho)], radius
+                    )
+                    inside = [abs((y << rho) - c) <= reach << rho for y in
+                              (first - 1, first, last, last + 1)]
+                    assert inside == [False, True, True, False]
 
 
 class TestUnboundedSolver:

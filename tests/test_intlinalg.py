@@ -622,25 +622,15 @@ class TestMaxDetSubmatrix:
             a = random_mat(rng, 5, 3, 4)
             if rank(a) < 3:
                 continue
-            _, v = max_det_submatrix(a, "exact")
+            _, v = max_det_submatrix(a)
             assert v == minor_stats(a, 3).delta
-
-    def test_greedy_returns_valid_base(self):
-        rng = random.Random(6)
-        for _ in range(20):
-            a = random_mat(rng, 6, 3, 4)
-            if rank(a) < 3:
-                continue
-            b, v = max_det_submatrix(a, "greedy")
-            assert abs(det(a.take_rows(b))) == v > 0
 
     def test_rank_deficient_raises(self):
         # tall, with dependent columns or a zero column; and fewer rows than
         # columns, where no n-row subset exists
         for rows in ([[1, 2], [2, 4], [3, 6]], [[1, 0], [2, 0], [0, 0]], [[1, 2, 3]]):
-            for mode in ("exact", "greedy"):
-                with pytest.raises(RankError, match="matrix does not have full column rank"):
-                    max_det_submatrix(IntMat.from_rows(rows), mode)
+            with pytest.raises(RankError, match="matrix does not have full column rank"):
+                max_det_submatrix(IntMat.from_rows(rows))
 
 
 class TestPerpendicularIdentity:

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from deltailp.intlinalg import IntMat, det, delta, rank
@@ -110,6 +111,38 @@ class TestGroupView:
         assert inst.group.elements() == [()]
         assert inst.group_columns == ((),) * 4
         assert inst.residue((1, 0, 1, 0)) == ()
+
+
+class TestGroupCodes:
+    GROUPS = [(), (5,), (2, 4), (2, 2, 6)]
+
+    @pytest.mark.parametrize("moduli", GROUPS, ids=str)
+    def test_digits_list_the_codes_in_order(self, moduli):
+        grp = GroupSpec(moduli)
+        digits = grp.digits
+        assert digits.shape == (grp.order, len(moduli))
+        assert [tuple(row) for row in digits.tolist()] == grp.elements()
+        assert grp.codes(digits).tolist() == list(range(grp.order))
+
+    @pytest.mark.parametrize("moduli", GROUPS, ids=str)
+    def test_code_arithmetic_matches_tuples(self, moduli):
+        grp = GroupSpec(moduli)
+        digits, elems = grp.digits, grp.elements()
+        plus = grp.codes(digits[:, None] + digits[None])
+        minus = grp.codes(digits[:, None] - digits[None])
+        for a, ea in enumerate(elems):
+            for b, eb in enumerate(elems):
+                assert plus[a, b] == grp.encode(grp.add(ea, eb))
+                assert minus[a, b] == grp.encode(grp.sub(ea, eb))
+
+    @pytest.mark.parametrize("moduli", GROUPS, ids=str)
+    def test_codes_reduce_out_of_range_digits(self, moduli):
+        grp = GroupSpec(moduli)
+        rng = random.Random(len(moduli))
+        raw = [[rng.randint(-3 * d, 3 * d) for d in moduli] for _ in range(40)]
+        raw += [[-d for d in moduli], [d for d in moduli], [2 * d - 1 for d in moduli]]
+        got = grp.codes(np.array(raw, dtype=np.int64).reshape(len(raw), len(moduli)))
+        assert got.tolist() == [grp.encode(grp.reduce(r)) for r in raw]
 
 
 class TestNormalize:
