@@ -6,9 +6,10 @@
   Residues live in ``StandardInstance.group``, the factors of S with
   modulus > 1; a Z_1 factor constrains nothing and is not carried.
   Two equivalent variants on one dense layer table: "queue" takes window
-  minima along the path/cycle decomposition of each layer graph;
-  "binarized" compresses each per-variable window into O(log) 0/1 arcs
-  via :func:`binary_decomposition`.  Both share one backward witness walk.
+  minima along the paths and cycles of each layer graph as sparse-table
+  reads; "binarized" compresses each per-variable window into O(log) 0/1
+  arcs via :func:`binary_decomposition`.  Both share one backward witness
+  walk.
 - :func:`solve_ilp_sf_unbounded` — unbounded instances with c >= 0.  At
   m = 1 a doubling DP over discrepancy-sized state windows combines two
   half solutions per level; level i covers solutions with l1 norm up to
@@ -46,19 +47,27 @@ Bounded DP encoding.  The states are s = p * R + r: p indexes the rows of
 the (P, m) integer array of one ``ParallelepipedLattice.points`` call (the
 residual right sides within radius H of the max-det column base, in
 lexicographic order) and r is the residue code of ``GroupSpec.encode``
-(R = group order).  The witness walk finds a point's row through
-:func:`_point_rows`: a dict from each prefix (y_0, ..., y_{m-2}) to its
-run of consecutive last coordinates; no tuple per point is built.  A
-layer is one flat numpy array over the states plus a sentinel slot, and
-the table holds all n + 1 layers; more than ``_DP_CELLS`` cells raise
-:class:`~deltailp.model.CapExceeded` before anything is allocated.  A
+(R = group order).  :func:`_lattice_rows` maps an array of points to their
+rows, -1 off the lattice: arithmetic at m = 1, where the lattice is an
+integer interval, and a ``searchsorted`` over the runs of equal prefixes at
+m >= 2.  A layer is one flat numpy array over the states followed by a
+sentinel row of R slots, so a point's row -1 indexes the sentinel row from
+the end; the table holds all n + 1 layers, and more than ``_DP_CELLS``
+cells raise :class:`~deltailp.model.CapExceeded` before anything is
+allocated.  For each step (a, g) of a column, :func:`_shift` gives shift(j),
+the index of the state (y - j * a, r - j * g) of every state, and a column
+is a window minimum over gathers through these shifts
+(:func:`_window_min`): doubling arcs, then two overlapping reads for
+"queue" and one remainder arc and one read for "binarized".  Columns with
+equal steps share their shift arrays.  A window is clipped to the cycle
+length when a = 0 and to P - 1 otherwise; no chain has more states.  A
 queue value is packed as cost * K + l1 with K = 2^ceil(log2(n*H + 1)):
 l1 <= n * H < K, so integer order is lexicographic order and packed sums
 are sums of pairs; binarized values are costs (K = 1).  Every reachable
-value satisfies |v| <= (sum |c_k| * H + 1) * K, and a window key shifts it
-by at most max(P, R) * (max |c_k| * K + 1); when twice that plus the
-value bound stays below 2^61 the table is int64, with sentinel 2^62 and
-anything >= 2^61 read as unreachable (see :func:`_value_range`).
+value satisfies |v| <= (sum |c_k| * H + 1) * K, and an arc of a clipped
+window adds at most max(P, R) * (max |c_k| * K + 1); when twice that plus
+the value bound stays below 2^61 the table is int64, with sentinel 2^62
+and anything >= 2^61 read as unreachable (see :func:`_value_range`).
 Otherwise the same code runs on dtype object, exact Python ints.
 """
 
@@ -93,24 +102,16 @@ _OBJECT_CELL = 8
 _MU = 12
 
 
-def _combine(v, cost_shift, l1_shift):
-    """Shift a DP value: tuples componentwise, plain numbers by cost only."""
-    if v is None:
-        return None
-    if isinstance(v, tuple):
-        return (v[0] + cost_shift, v[1] + l1_shift)
-    return v + cost_shift
-
-
 def _value_range(top: int, reach: int):
     """(lim, dtype) of a table of packed values; its sentinel is 2 * lim.
 
-    top bounds |v| for every reachable value v, and reach bounds
-    |offset * step| for every window key of :func:`_queue_step` and every
-    arc cost of :func:`_binarized_step`.  Keys then lie in
-    [-(top + reach), top + reach], sentinel keys at >= 2 * lim - reach, and
-    a result lands in [-top, top] when reachable and at >= 2 * lim -
-    2 * reach > lim otherwise.  When top + 2 * reach < 2^61, lim = 2^61 and
+    top bounds |v| for every reachable value v, and reach bounds |t * step|
+    for every arc that :func:`_window_min` adds, t being a partial or whole
+    offset of a clipped window.  Every number the kernel forms is then a
+    table value plus such an arc: in [-(top + reach), top + reach] when it
+    derives from a reachable value and at >= 2 * lim - reach > lim from the
+    sentinel, so a result lands in [-top, top] when reachable and reads as
+    unreachable otherwise.  When top + 2 * reach < 2^61, lim = 2^61 and
     every number stays below 2^63, so int64 is exact; otherwise the same
     code runs on Python ints (dtype object) with a larger lim.
     """
@@ -120,109 +121,63 @@ def _value_range(top: int, reach: int):
     return lim, (np.int64 if lim == 1 << 61 else object)
 
 
-def _block_min(keys, w: int, starts):
-    """min(keys[s : s + w]) for each s in starts; every window must lie
-    inside keys.
+def _cycle_length(grp, g_col) -> int:
+    """Order of g_col in the group: the length of every cycle of r -> r + g_col."""
+    return math.lcm(*(d // math.gcd(v, d) for v, d in zip(g_col, grp.moduli)))
 
-    van Herk (1992) / Gil-Werman (1993): cut keys into blocks of w.  A
-    window spans at most two blocks, so its minimum is the suffix minimum
-    of its first block from s on with the prefix minimum of the next block
-    up to s + w - 1.  The tail copy that fills the last block never enters
-    a window.
+
+def _window_min(prev, shift, lo: int, hi: int, step: int, queue: bool):
+    """min over t in [lo, hi] of prev[shift(t)] + t * step, for a window on
+    one side of 0 (0 <= lo or hi < 0).
+
+    shift(t) maps every state to its predecessor t steps back.  Shifts of
+    one sign compose, shift(i)[shift(j)] = shift(i + j), because a chain
+    that leaves the lattice stays off it.  With t = near + d * u, near the
+    end nearest 0 and d its sign, the arcs x = min(x, x[shift(d * s)] +
+    d * s * step) for s = 1, 2, 4, ... below k, the largest power of two
+    <= w = hi - lo + 1, leave x = the minimum over u < k of
+    prev[shift(d * u)] + d * u * step.  "queue" then takes the two windows
+    of k at near and at near + d * (w - k), which cover [lo, hi] together
+    (a sparse-table query); "binarized" adds the last arc of
+    ``binary_decomposition(0, w - 1)``, w - k, and reads one window at
+    near.
     """
     import numpy as np
 
-    if w == 1:
-        return keys[starts]
-    nb = -(-len(keys) // w)
-    blocks = np.concatenate((keys, keys[: nb * w - len(keys)])).reshape(nb, w)
-    prefix = np.minimum.accumulate(blocks, axis=1).ravel()
-    suffix = np.minimum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    return np.minimum(suffix[starts], prefix[starts + w - 1])
+    d, near = (1, lo) if lo >= 0 else (-1, hi)
+    w = hi - lo + 1
+    k = 1 << (w.bit_length() - 1)
+    arcs = binary_decomposition(0, w - 1)  # the powers of two below k, then w - k
+    if queue:
+        arcs, reads = arcs[: k.bit_length() - 1], {near, near + d * (w - k)}
+    else:
+        reads = {near}
+    x = prev
+    for s in arcs:
+        x = np.minimum(x, x[shift(d * s)] + d * s * step)
+    res = [x if t == 0 else x[shift(t)] + t * step for t in reads]
+    return res[0] if len(res) == 1 else np.minimum(*res)
 
 
-def _layout(order, depth, longest: int, cyclic: bool, lower: int, upper: int):
-    """Lay chains out for the window kernels.
+def _layer_step(prev, shift, lo: int, hi: int, cost: int, l1w: int, lim: int, queue: bool, out):
+    """One DP layer into out: out[s] = min over t in [lo, hi] of
+    prev[shift(t)[s]] + cost * t + l1w * |t|, one :func:`_window_min` per
+    sign of t; out is left as it is when the window is empty.
 
-    order lists the states chain by chain, depth their offsets along their
-    chain (0 at each head); a state at offset i reads offsets i - t for t
-    in [lower, upper], clipped here to the longest chain.  Each chain gets
-    max(upper, 0) slots ahead and max(-lower, 0) behind, so no window leaves
-    its chain: sentinel slots (src = -1) for paths, and for cycles, which
-    all have one length l and lower = 0, the last slots of the cycle again
-    at offsets shifted by -l.  Returns (src, off, at, dep, lower, upper):
-    src and off give the state and the offset of every slot, at and dep the
-    slot and the offset of every state.
+    prev and out hold one value per state and end in the sentinel row, R
+    slots of 2 * lim that every shift maps into itself; results >= lim
+    become the sentinel.
     """
     import numpy as np
 
-    n = len(order)
-    lower, upper = max(lower, 1 - longest), min(upper, longest - 1)
-    ahead, behind = max(upper, 0), max(-lower, 0)
-    chain = np.cumsum(depth == 0) - 1
-    pos = np.arange(n) + chain * (ahead + behind) + ahead
-    src = np.full(n + (int(chain[-1]) + 1) * (ahead + behind), -1, dtype=np.int64)
-    off = np.zeros(len(src), dtype=np.int64)
-    src[pos], off[pos] = order, depth
-    if cyclic and ahead:
-        tail = depth >= longest - ahead
-        src[pos[tail] - longest] = order[tail]
-        off[pos[tail] - longest] = depth[tail] - longest
-    at, dep = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    at[order], dep[order] = pos, depth
-    return src, off, at, dep, lower, upper
-
-
-def _queue_step(prev, lay, cost: int, K: int, l1w: int, lim: int):
-    """One queue-DP layer: out[s] = min over t of prev[s - t steps] + t
-    arcs, an arc packed as cost * K + l1w for t >= 0 and cost * K - l1w
-    for t < 0 (l1w = 1 adds |t| to the l1 part, l1w = 0 packs costs only).
-
-    prev holds one value per state plus the sentinel 2 * lim at index -1.
-    Per sign of t: out[i] = i * step + min over j of (v[j] - j * step), a
-    window minimum of keys along the chain; results >= lim are sentinels.
-    """
-    import numpy as np
-
-    src, off, at, dep, lower, upper = lay
-    dtype, sent = prev.dtype, 2 * lim
-    if lower > upper:
-        return np.full(len(at), sent, dtype=dtype)
-    off, dep = off.astype(dtype, copy=False), dep.astype(dtype, copy=False)
-    vals = prev[src]
-    passes = []
-    if upper >= 0:  # t in [max(lower, 0), upper]: j in [i - upper, i - max(lower, 0)]
-        passes.append((cost * K + l1w, at - upper, upper - max(lower, 0) + 1))
-    if lower < 0:  # t in [lower, min(upper, -1)]: j in [i + gap, i - lower]
-        gap = max(1, -upper)
-        passes.append((cost * K - l1w, at + gap, -lower - gap + 1))
-    out = None
-    for step, starts, w in passes:
-        res = _block_min(vals - off * step, w, starts) + dep * step
-        out = res if out is None else np.minimum(out, res, out=out)
-    out[out >= lim] = sent
-    return out
-
-
-def _binarized_step(prev, lay, cost: int, lim: int):
-    """One binarized-DP layer on the same layout, values being costs: one
-    0/1 arc per weight of :func:`binary_decomposition` over the slots, so
-    x[q] = min over subset sums w of v[q - w] + cost * w, then the base
-    arc: out[i] = x[i - lower] + cost * lower."""
-    import numpy as np
-
-    src, _, at, _, lower, upper = lay
-    sent = 2 * lim
-    if lower > upper:
-        return np.full(len(at), sent, dtype=prev.dtype)
-    x = prev[src]
-    for s in binary_decomposition(lower, upper):
-        shifted = np.full_like(x, sent)  # shifted[q] = x[q - s]
-        shifted[s:] = x[: max(len(x) - s, 0)]
-        x = np.minimum(x, shifted + cost * s)
-    out = x[at - lower] + cost * lower
-    out[out >= lim] = sent
-    return out
+    parts = [
+        _window_min(prev, shift, a, b, step, queue)
+        for a, b, step in ((max(lo, 0), hi, cost + l1w), (lo, min(hi, -1), cost - l1w))
+        if a <= b
+    ]
+    if parts:
+        np.minimum(parts[0], parts[-1], out=out)  # parts[0] alone when one sign
+        out[out >= lim] = 2 * lim
 
 
 def binary_decomposition(alpha: int, beta: int) -> list[int]:
@@ -324,31 +279,24 @@ def _base(instance: StandardInstance) -> tuple[tuple[int, ...], int]:
     return max_det_submatrix(instance.A.transpose())
 
 
-def _state_lattice(
-    instance: StandardInstance, cols: tuple[int, ...]
-) -> ParallelepipedLattice | None:
-    """Lattice of the column base B = A[:, cols]; its points in the box of
-    radius H are a superset of {A x : ||x||_1 <= H}.  None when m = 0."""
-    if instance.A is None:
-        return None
-    return ParallelepipedLattice(instance.A.submatrix(list(range(instance.m)), list(cols)))
-
-
-def _point_rows(coords):
-    """y -> the row of coords that holds y, None when y is not a row.
+def _lattice_rows(coords):
+    """rows(Y): the row of coords that holds each point of the (N, m)
+    integer array Y (any dtype), -1 for a point that is not a row; int64.
 
     coords holds the lattice points in lexicographic order.  The lattice is
     the set of integer points of a convex body, so the points that share a
     prefix y_0, ..., y_{m-2} are consecutive rows whose last coordinates run
-    through consecutive integers.  A dict maps each prefix to its run as
-    (first row - first y_{m-1}, first y_{m-1}, last y_{m-1}): one entry at
-    m = 1, and no tuple per point.
+    through consecutive integers.  At m = 1 that is one run, an integer
+    interval, and rows is arithmetic.  At m >= 2 ``searchsorted`` finds a
+    point's run among the runs' prefixes, read as mixed-radix numbers over
+    the box the prefixes span (Python ints when it holds 2^62 points or
+    more).
     """
     import numpy as np
 
     n_pts, m = coords.shape
     if m == 0:
-        return lambda y: 0
+        return lambda Y: np.zeros(len(Y), dtype=np.int64)
     new = np.ones(n_pts, dtype=bool)
     new[1:] = (coords[1:, :-1] != coords[:-1, :-1]).any(axis=1)
     starts = np.flatnonzero(new)
@@ -356,90 +304,74 @@ def _point_rows(coords):
     first, last = coords[starts, -1], coords[ends, -1]
     if (last - first != ends - starts).any():
         raise CertificateError("lattice points of one prefix are not contiguous")
-    runs = dict(
-        zip(
-            map(tuple, coords[starts, :-1].tolist()),
-            zip((starts - first).tolist(), first.tolist(), last.tolist()),
-        )
-    )
+    offset = starts - first  # the row of y in run i is offset[i] + y_{m-1}
+    if m == 1:
+        off = offset[0]
 
-    def row(y):
-        run = runs.get(y[:-1])
-        if run is None or not run[1] <= y[-1] <= run[2]:
-            return None
-        return run[0] + y[-1]
+        def interval(Y):
+            y = Y[:, 0] + off
+            return np.where((0 <= y) & (y < n_pts), y, -1).astype(np.int64, copy=False)
 
-    return row
+        return interval
+    prefix = coords[starts, :-1]
+    low = prefix.min(axis=0)
+    span = prefix.max(axis=0) - low + 1
+    dtype = np.int64 if math.prod(span.tolist()) < 1 << 62 else object
+    radix = np.array([math.prod(span[i + 1 :].tolist()) for i in range(m - 1)], dtype=dtype)
+    keys = (prefix - low).astype(dtype) @ radix  # increasing: the runs are sorted
+
+    def rows(Y):
+        pre = Y[:, :-1] - low
+        ok = ((pre >= 0) & (pre < span)).all(axis=1)
+        key = np.where(ok[:, None], pre, 0).astype(dtype) @ radix
+        run = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        y = Y[:, -1]
+        ok &= (keys[run] == key) & (first[run] <= y) & (y <= last[run])
+        return np.where(ok, offset[run] + y, -1).astype(np.int64, copy=False)
+
+    return rows
 
 
-def _chains(coords, grp, a_col, g_col):
-    """The chains of the layer graph s -> s + (a_col, g_col) on the states
-    s = p * R + r (lattice point p, residue code r), as (order, depth,
-    longest, cyclic) for :func:`_layout`.
-
-    a_col != 0: paths.  With i the first nonzero entry of a_col and
-    t = floor(y_i / a_i), a step raises t by 1 and keeps y - t * a_col and
-    r - t * g_col, so those label the chain and t orders it.  Every chain
-    is a full run of the lattice because the lattice is the set of integer
-    points of a convex body.  a_col = 0: the cycles of r -> r + g_col,
-    one per coset of <g_col> and lattice point, headed by the coset's
-    smallest code (a minimum over doubling shifts) and walked from it.
-    """
+def _shift(coords, rows, grp, a, g, j: int):
+    """shift(j) of the step (a, g): the flat index p * R + r of the state
+    (y - j * a, r - j * g) for every state (y, r) and every slot of the
+    sentinel row, in table order; int64.  A point off the lattice has row
+    -1, so its index falls in [-R, -1], the sentinel row counted from the
+    end."""
     import numpy as np
 
-    digits = grp.digits
-    n_pts, n_res = len(coords), len(digits)
-    g = np.array(g_col, dtype=np.int64)
-    nz = [i for i, v in enumerate(a_col) if v]
-    if nz:
-        i = nz[0]
-        t = coords[:, i] // a_col[i]
-        rep = coords - t[:, None] * np.array(a_col, dtype=coords.dtype)
-        t_mod = (t % math.lcm(*grp.moduli)).astype(np.int64)
-        res = grp.codes(digits[None] - t_mod[:, None, None] * g)
-        labels = [res.ravel()] + [np.repeat(rep[:, j], n_res) for j in range(rep.shape[1])]
-        order = np.lexsort([np.repeat(t, n_res)] + labels[::-1])
-        new = np.zeros(len(order), dtype=bool)
-        new[0] = True
-        for lab in labels:
-            lab = lab[order]
-            new[1:] |= lab[1:] != lab[:-1]
-        heads = np.flatnonzero(new)
-        depth = np.arange(len(order)) - heads[np.cumsum(new) - 1]
-        return order, depth, int(depth.max()) + 1, False
-    length = math.lcm(*(d // math.gcd(v, d) for v, d in zip(g_col, grp.moduli)))
-    codes = np.arange(n_res)
-    low, step, span = codes, grp.codes(digits + g), 1
-    while span < length:  # low[r] = min code of r, r + g, ..., r + (2 span - 1) g
-        low, step, span = np.minimum(low, low[step]), step[step], 2 * span
-    heads = np.flatnonzero(low == codes)
-    walk = np.arange(length)[:, None] * g
-    cycles = grp.codes(digits[heads][:, None] + walk)
-    order = (np.arange(n_pts)[:, None] * n_res + cycles.ravel()).ravel()
-    return order, np.arange(len(order)) % length, length, True
+    p = rows(coords - j * a) if a.any() else np.arange(len(coords))
+    r = grp.codes(grp.digits - j * g) if g.any() else np.arange(grp.order)
+    return (np.append(p, -1)[:, None] * grp.order + r).ravel()
 
 
 def _layer_dp(instance, cols, steps, windows, target, radius, variant):
     """Dense layered DP over the states (lattice point, residue code), the
     points being those of the lattice of the column base cols.
 
-    Returns (lookup, value): lookup(k, (b, r)) is the value of state (b, r)
-    after the first k columns, None when b is off the lattice or the state
-    is unreachable; values are (cost, l1) pairs for "queue" and costs for
-    "binarized".  Raises CapExceeded before allocating more than
-    _DP_CELLS cells.
+    Returns (lookup, value): lookup(k, points, codes) lists the values of
+    the states (points[i], codes[i]) after the first k columns, points an
+    (N, m) integer array and codes residue codes; an entry is None when its
+    point is off the lattice or its state is unreachable.  value is the
+    target's value after all columns.  Values are (cost, l1) pairs for
+    "queue" and costs for "binarized".  Raises CapExceeded before
+    allocating more than _DP_CELLS cells.
     """
     import numpy as np
 
     n, m, grp = instance.n, instance.m, instance.group
-    lattice = _state_lattice(instance, cols)
+    # the lattice of the column base B = A[:, cols]; its points in the box of
+    # radius H are a superset of {A x : ||x||_1 <= H}
+    lattice = (
+        None if m == 0 else ParallelepipedLattice(instance.A.submatrix(list(range(m)), list(cols)))
+    )
     origin = (0,) * m
-    n_pts = lattice.count(origin, radius) if lattice is not None else 1
+    n_pts = 1 if m == 0 else lattice.count(origin, radius)
     n_res = grp.order
     queue = variant == "queue"
     K = 1 << (n * radius).bit_length() if queue else 1  # l1 <= n * H < K
     costs = [abs(c) for c in instance.c]
-    # |cost| <= sum |c_k| * H; a chain offset is below max(P, R)
+    # |cost| <= sum |c_k| * H; a clipped window has |t| < max(P, R)
     lim, dtype = _value_range(
         (sum(costs) * radius + 1) * K,
         max(n_pts, n_res) * (max(costs, default=0) * K + 1),
@@ -451,75 +383,83 @@ def _layer_dp(instance, cols, steps, windows, target, radius, variant):
             f"{n_res} residues x {n + 1} layers"
             f"{'' if dtype is np.int64 else ', Python ints'}), above the cap {_DP_CELLS}"
         )
-    if lattice is None:
-        coords = np.zeros((1, 0), dtype=np.int64)
-    else:
-        coords = lattice.points(origin, radius)
-    row = _point_rows(coords)
-    if row(target[0]) is None:
+    coords = np.zeros((1, 0), dtype=np.int64) if m == 0 else lattice.points(origin, radius)
+    rows = _lattice_rows(coords)
+    goal = np.array([target[0]], dtype=object)
+    if rows(goal)[0] < 0:
         return None, None
-    # the chain labels y - t * a_col of _chains stay exact in int64 below 2^62
+    # the shifted points y - t * a_col, |t| < max(P, R), stay exact in int64
+    # below 2^62
     y_max = int(abs(coords).max()) if coords.size else 0
     a_max = max((abs(v) for a_col, _ in steps for v in a_col), default=0)
-    if (y_max + 1) * (a_max + 1) >= 1 << 62:
+    if y_max + max(n_pts, n_res) * a_max >= 1 << 62:
         coords = coords.astype(object)
 
-    layers = np.full((n + 1, n_pts * n_res + 1), 2 * lim, dtype=dtype)
-    layers[0, row(origin) * n_res] = 0  # the zero residue has code 0
-    # Columns with equal steps share chains, and layouts where their clipped
-    # windows agree; both are dropped after the step's last column.
+    layers = np.full((n + 1, (n_pts + 1) * n_res), 2 * lim, dtype=dtype)
+    layers[0, rows(np.zeros((1, m), dtype=np.int64))[0] * n_res] = 0  # the zero residue has code 0
+    # Columns with equal steps share their shifts, which are dropped after
+    # the step's last column.
     last = {step: k for k, step in enumerate(steps)}
-    plans: dict = {}
+    memos: dict = {}
     for k, step in enumerate(steps):
-        if step not in plans:
-            plans[step] = (_chains(coords, grp, *step), {})
-        chains, layouts = plans[step]
-        longest = chains[2]
+        a_col, g_col = step
+        keep = last[step] > k
+        memo = memos.setdefault(step, {}) if keep else memos.pop(step, {})
+        a, g = np.array(a_col, dtype=coords.dtype), np.array(g_col, dtype=np.int64)
+
+        def shift(j):
+            s = memo.get(j)
+            if s is None:
+                s = _shift(coords, rows, grp, a, g, j)
+                if keep:
+                    memo[j] = s
+            return s
+
+        # no chain has more than P states, and a cycle repeats after its length
+        reach = n_pts if any(a_col) else _cycle_length(grp, g_col)
         alpha, beta = windows[k]
-        window = (max(alpha, 1 - longest), min(beta, longest - 1))
-        if window not in layouts:
-            layouts[window] = _layout(*chains, *window)
-        lay = layouts[window]
-        if last[step] == k:
-            del plans[step]
-        if queue:
-            layers[k + 1, :-1] = _queue_step(layers[k], lay, instance.c[k], K, 1, lim)
-        else:
-            layers[k + 1, :-1] = _binarized_step(layers[k], lay, instance.c[k], lim)
+        _layer_step(
+            layers[k], shift, max(alpha, 1 - reach), min(beta, reach - 1),
+            instance.c[k] * K, int(queue), lim, queue, layers[k + 1],
+        )
 
-    def lookup(k, state):
-        p = row(state[0])
-        if p is None:
-            return None
-        v = layers[k, p * n_res + grp.encode(state[1])]
-        if v >= lim:
-            return None
-        return divmod(int(v), K) if queue else int(v)
+    def lookup(k, points, codes):
+        vals = layers[k, rows(points) * n_res + codes].tolist()
+        return [None if v >= lim else (divmod(v, K) if queue else v) for v in vals]
 
-    return lookup, lookup(n, target)
+    return lookup, lookup(n, goal, [grp.encode(target[1])])[0]
 
 
 def _witness(instance, steps, windows, target, value, lookup):
     """Recentered solution y reaching target with DP value value.
 
-    Walks the layers backwards: at column k it takes the first t in
-    [alpha_k, beta_k] whose predecessor value, shifted by the arc's
-    (c_k * t, |t|), equals the current value.  _combine applies the shift
-    to (cost, l1) pairs and to plain costs alike.
+    Walks the layers backwards: at column k it looks up the predecessors of
+    the current state for every t in [alpha_k, beta_k] at once (a cycle's
+    window clipped to its length, as in the DP) and takes the first t whose
+    predecessor value, shifted by the arc's (c_k * t, |t|), equals the
+    current value; the shift applies to (cost, l1) pairs and to plain costs
+    alike.  Points are Python ints (dtype object), so no product t * a_col
+    can overflow.
     """
+    import numpy as np
+
     grp = instance.group
+    point, code = np.array(target[0], dtype=object), grp.encode(target[1])
     y = [0] * instance.n
     for k in range(instance.n - 1, -1, -1):
         a_col, g_col = steps[k]
         alpha, beta = windows[k]
-        for t in range(alpha, beta + 1):
-            pred = (
-                tuple(x - t * v for x, v in zip(target[0], a_col)),
-                grp.sub(target[1], grp.scale(t, g_col)),
-            )
-            pv = lookup(k, pred)
-            if pv is not None and _combine(pv, instance.c[k] * t, abs(t)) == value:
-                y[k], target, value = t, pred, pv
+        if not any(a_col):
+            beta = min(beta, _cycle_length(grp, g_col) - 1)
+        t = np.arange(alpha, beta + 1).astype(object)[:, None]
+        points = point - t * np.array(a_col, dtype=object)
+        codes = grp.codes(grp.digits[code] - t.astype(np.int64) * np.array(g_col, dtype=np.int64))
+        for i, pv in enumerate(lookup(k, points, codes)):
+            cost = instance.c[k] * (alpha + i)
+            if pv is not None and value == (
+                (pv[0] + cost, pv[1] + abs(alpha + i)) if isinstance(pv, tuple) else pv + cost
+            ):
+                y[k], point, code, value = alpha + i, points[i], int(codes[i]), pv
                 break
         else:
             raise CertificateError("witness reconstruction failed")
@@ -533,8 +473,8 @@ def solve_bilp_sf(
 
     chi must dominate the true l1 proximity between optimal LP vertices
     and optimal integer solutions (default: the Delta-based closed-form
-    bound); variant selects the eager path/cycle decomposition ("queue")
-    or the lazy 0/1-compressed state graph ("binarized").  Raises
+    bound); variant selects sparse-table window minima ("queue") or the
+    0/1-compressed arcs ("binarized").  Raises
     CertificateError when the witness fails its feasibility re-check.
     """
     if variant not in ("queue", "binarized"):

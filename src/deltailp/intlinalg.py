@@ -17,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -120,13 +121,34 @@ class HnfResult:
 @dataclass(frozen=True)
 class SnfResult:
     """Smith form: A = P * [S; 0] * Q with P, Q unimodular, S diagonal, and
-    the inverses P_inv, Q_inv of the two factors."""
+    the inverses P_inv, Q_inv of the two factors.
+
+    :func:`snf` records its elementary operations E; each factor is built
+    when first read by replaying them on an identity matrix: a row
+    operation makes P_inv = ... E and P = E^{-1} ..., a column operation
+    Q_inv = ... E and Q = E^{-1} ....
+    """
 
     S: IntMat
-    P: IntMat
-    Q: IntMat
-    P_inv: IntMat
-    Q_inv: IntMat
+    row_ops: tuple[tuple, ...]  # ("add", dst, src, k), ("swap", i, j), ("neg", i)
+    col_ops: tuple[tuple, ...]
+    rows: int  # the row count of A
+
+    @cached_property
+    def P_inv(self) -> IntMat:
+        return _replay(self.rows, self.row_ops, _ROW_OPS)
+
+    @cached_property
+    def P(self) -> IntMat:
+        return _replay(self.rows, _inverses(self.row_ops), _COL_OPS)
+
+    @cached_property
+    def Q_inv(self) -> IntMat:
+        return _replay(self.S.cols, self.col_ops, _COL_OPS)
+
+    @cached_property
+    def Q(self) -> IntMat:
+        return _replay(self.S.cols, _inverses(self.col_ops), _ROW_OPS)
 
 
 @dataclass(frozen=True)
@@ -300,45 +322,43 @@ def hnf(A: IntMat) -> HnfResult:
     return HnfResult(T=IntMat.from_rows(t), Q=IntMat.from_rows(q))
 
 
+_ROW_OPS = {"add": _add_row, "swap": _swap_rows, "neg": _neg_row}
+_COL_OPS = {"add": _add_col, "swap": _swap_cols, "neg": _neg_col}
+
+
+def _inverses(ops: tuple[tuple, ...]) -> list[tuple]:
+    """The inverse of each operation, to be applied on the other side: adding
+    k times line src to line dst is undone, from there, by adding -k times
+    line dst to line src; swaps and negations are their own inverses."""
+    return [("add", op[2], op[1], -op[3]) if op[0] == "add" else op for op in ops]
+
+
+def _replay(size: int, ops, table: dict) -> IntMat:
+    """The size x size identity after ops, applied through table (_ROW_OPS
+    or _COL_OPS)."""
+    a = IntMat.identity(size).to_lists()
+    for kind, *args in ops:
+        table[kind](a, *args)
+    return IntMat.from_rows(a)
+
+
 def snf(A: IntMat) -> SnfResult:
-    """Smith normal form A = P * [S; 0] * Q for full-column-rank A, with
-    P^{-1} and Q^{-1} built from the same elementary operations."""
+    """Smith normal form A = P * [S; 0] * Q for full-column-rank A; the
+    factors and their inverses come from the recorded elementary
+    operations when read."""
     n = A.cols
     rows = A.rows
     w = [list(row) for row in A.entries]
-    p = IntMat.identity(rows).to_lists()
-    p_inv = [row[:] for row in p]
-    q = IntMat.identity(n).to_lists()
-    q_inv = [row[:] for row in q]
+    row_ops: list[tuple] = []
+    col_ops: list[tuple] = []
 
-    # a row operation E on w gives P * E^{-1} and E * P^{-1}; a column
-    # operation E gives E^{-1} * Q and Q^{-1} * E
-    def row_op_add(dst: int, src: int, k: int) -> None:
-        _add_row(w, dst, src, k)
-        _add_row(p_inv, dst, src, k)
-        # subtract k * column dst from column src of P
-        for prow in p:
-            prow[src] -= k * prow[dst]
+    def row_op(*op) -> None:
+        _ROW_OPS[op[0]](w, *op[1:])
+        row_ops.append(op)
 
-    def row_op_swap(i: int, j: int) -> None:
-        _swap_rows(w, i, j)
-        _swap_rows(p_inv, i, j)
-        _swap_cols(p, i, j)
-
-    def row_op_neg(i: int) -> None:
-        _neg_row(w, i)
-        _neg_row(p_inv, i)
-        _neg_col(p, i)
-
-    def col_op_add(dst: int, src: int, k: int) -> None:
-        _add_col(w, dst, src, k)
-        _add_col(q_inv, dst, src, k)
-        _add_row(q, src, dst, -k)
-
-    def col_op_swap(i: int, j: int) -> None:
-        _swap_cols(w, i, j)
-        _swap_cols(q_inv, i, j)
-        _swap_rows(q, i, j)
+    def col_op(*op) -> None:
+        _COL_OPS[op[0]](w, *op[1:])
+        col_ops.append(op)
 
     for k in range(n):
         while True:
@@ -355,27 +375,27 @@ def snf(A: IntMat) -> SnfResult:
                 raise RankError("matrix does not have full column rank")
             if pivot != (k, k):
                 if pivot[0] != k:
-                    row_op_swap(k, pivot[0])
+                    row_op("swap", k, pivot[0])
                 if pivot[1] != k:
-                    col_op_swap(k, pivot[1])
+                    col_op("swap", k, pivot[1])
             # eliminate column k below the pivot
             dirty = False
             for i in range(k + 1, rows):
                 while w[i][k] != 0:
                     quo = w[i][k] // w[k][k]
                     if quo != 0:
-                        row_op_add(i, k, -quo)
+                        row_op("add", i, k, -quo)
                     if w[i][k] != 0:
-                        row_op_swap(i, k)
+                        row_op("swap", i, k)
                         dirty = True
             # eliminate row k right of the pivot
             for j in range(k + 1, n):
                 while w[k][j] != 0:
                     quo = w[k][j] // w[k][k]
                     if quo != 0:
-                        col_op_add(j, k, -quo)
+                        col_op("add", j, k, -quo)
                     if w[k][j] != 0:
-                        col_op_swap(j, k)
+                        col_op("swap", j, k)
                         dirty = True
             if dirty:
                 continue
@@ -390,11 +410,11 @@ def snf(A: IntMat) -> SnfResult:
                     break
             if offender is None:
                 break
-            row_op_add(k, offender, 1)
+            row_op("add", k, offender, 1)
         if w[k][k] < 0:
-            row_op_neg(k)
+            row_op("neg", k)
     s = IntMat.from_rows([[w[i][i] if i == j else 0 for j in range(n)] for i in range(n)])
-    return SnfResult(s, *(IntMat.from_rows(f) for f in (p, q, p_inv, q_inv)))
+    return SnfResult(s, tuple(row_ops), tuple(col_ops), rows)
 
 
 def minor_stats(A: IntMat, order: int | None = None) -> MinorStats:

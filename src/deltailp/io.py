@@ -14,6 +14,14 @@ Schema per form (all keys required unless noted):
   forces all "+inf"), c.
 * group: moduli (entries >= 1), generators, target, costs, bounds (entries
   int >= 0 or "+inf").
+
+Every dimension must agree, or the file is refused: in ilp-cf / bilp-cf,
+|b_l| = |b_r| = the rows of A and |c| = its columns; in ilp-sf / bilp-sf,
+with n = |c| and m the rows of A (0 when A is empty), A and G have n
+columns, G has n - m rows unless it is empty, |u| = n, |b| = m and |g| =
+the rows of G = the rows of S; in group, every
+generator and the target have one entry per modulus, and |costs| =
+|bounds| = the number of generators.
 """
 
 from __future__ import annotations
@@ -80,6 +88,13 @@ def _at_least(v: tuple, low: int, where: str) -> tuple:
     return v
 
 
+def _sizes(*checks: tuple[str, int, int]) -> None:
+    """Raise FormatError at the first (what, size, expected) that differ."""
+    for what, size, expected in checks:
+        if size != expected:
+            raise FormatError(f"{what} is {size}, expected {expected}")
+
+
 def parse_instance(text: str) -> Instance:
     try:
         data = json.loads(text)
@@ -101,12 +116,15 @@ def parse_instance(text: str) -> Instance:
         b_l = _vector(data["b_l"], "b_l", allow="-inf")
         if form == "ilp-cf" and any(is_finite(v) for v in b_l):
             raise FormatError("ilp-cf requires every b_l entry to be \"-inf\"")
-        return CanonicalInstance(
+        cf = CanonicalInstance(
             A=a,
             b_l=b_l,
             b_r=_vector(data["b_r"], "b_r"),
             c=_vector(data["c"], "c"),
         )
+        _sizes(("length of b_l", len(b_l), a.rows), ("length of b_r", len(cf.b_r), a.rows),
+               ("length of c", len(cf.c), a.cols))
+        return cf
     if form in ("ilp-sf", "bilp-sf"):
         unknown = set(data) - _SF_KEYS
         if unknown:
@@ -129,7 +147,7 @@ def parse_instance(text: str) -> Instance:
         c = _vector(data["c"], "c")
         n = len(c)
         m = a.rows if a is not None else 0
-        return StandardInstance(
+        sf = StandardInstance(
             n=n,
             m=m,
             A=a,
@@ -140,6 +158,17 @@ def parse_instance(text: str) -> Instance:
             u=u,
             c=c,
         )
+        d = g_mat.rows if g_mat is not None else 0
+        _sizes(
+            ("row count of G", d, n - m if g_mat is not None else 0),
+            ("column count of A", a.cols if a is not None else n, n),
+            ("length of u", len(u), n),
+            ("length of b", len(sf.b), m),
+            ("column count of G", g_mat.cols if g_mat is not None else n, n),
+            ("row count of S", s_mat.rows if s_mat is not None else 0, d),
+            ("length of g", len(sf.g), d),
+        )
+        return sf
     if form == "group":
         unknown = set(data) - _GROUP_KEYS
         if unknown:
@@ -150,13 +179,21 @@ def parse_instance(text: str) -> Instance:
         gens = data["generators"]
         if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
             raise FormatError("generators: expected an array of element arrays")
-        return GroupInstance(
+        grp = GroupInstance(
             group=GroupSpec(moduli=_at_least(_vector(data["moduli"], "moduli"), 1, "moduli")),
             generators=tuple(_vector(g, "generators") for g in gens),
             target=_vector(data["target"], "target"),
             costs=_vector(data["costs"], "costs"),
             bounds=_at_least(_vector(data["bounds"], "bounds", allow="+inf"), 0, "bounds"),
         )
+        k = len(grp.group.moduli)
+        _sizes(
+            *(("length of a generator", len(g), k) for g in grp.generators),
+            ("length of target", len(grp.target), k),
+            ("length of costs", len(grp.costs), grp.n),
+            ("length of bounds", len(grp.bounds), grp.n),
+        )
+        return grp
     raise FormatError(
         "form must be one of ilp-cf, bilp-cf, ilp-sf, bilp-sf, group"
     )

@@ -153,6 +153,55 @@ class TestSolve:
         assert kv(out)["error"] == "input"
         assert "Traceback" not in out + err
 
+    SF = {"form": "bilp-sf", "A": [[1, 1]], "G": [[0, 1]], "S": [[2]], "b": [2], "g": [0],
+          "u": [3, 3], "c": [1, 1]}
+    GROUP = {"form": "group", "moduli": [3, 4], "generators": [[1, 1]], "target": [0, 1],
+             "costs": [1], "bounds": ["+inf"]}
+    CF = {"form": "bilp-cf", "A": [[1, 0], [0, 1]], "b_l": [0, 0], "b_r": [1, 1], "c": [1, 1]}
+
+    @pytest.mark.parametrize(
+        "base, change",
+        [
+            (SF, {"b": [2, 3]}),
+            (SF, {"u": [3]}),
+            (SF, {"G": [[0, 1, 0]]}),
+            (SF, {"A": [[1, 1, 1]]}),
+            (SF, {"A": [[1, 1, 0]], "G": [[0, 1, 0], [0, 0, 1]], "u": [3, 3, 3], "c": [1, 1, 1]}),
+            (SF, {"g": [0, 1]}),
+            (SF, {"A": [[1, 2, 3]], "G": [[0, 1, 0]], "u": [3, 3, 3], "c": [1, 1, 1]}),
+            (GROUP, {"generators": [[1]]}),
+            (GROUP, {"target": [0]}),
+            (GROUP, {"costs": [1, 2]}),
+            (GROUP, {"bounds": ["+inf", 2]}),
+            (CF, {"c": [1]}),
+            (CF, {"b_l": [0]}),
+            (CF, {"b_r": [1, 1, 1]}),
+        ],
+        ids=[
+            "b-longer-than-A-rows", "u-shorter-than-n", "G-wider-than-n", "A-wider-than-n",
+            "G-rows-not-S-rows", "g-longer-than-G-rows", "G-rows-not-n-minus-m",
+            "generator-short", "target-short",
+            "costs-long", "bounds-long", "cf-c-short", "cf-b_l-short", "cf-b_r-long",
+        ],
+    )
+    def test_mismatched_dimensions_exit_input(self, capsys, tmp_path, base, change):
+        # unchecked, these were answered "infeasible" or "optimal", failed
+        # the certificate, or raised an IndexError
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**base, **change}))
+        code = main(["solve", str(path)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert kv(out)["error"] == "input"
+        assert "Traceback" not in out + err
+
+    def test_empty_group_part_stays_valid(self, capsys, tmp_path):
+        # m = n: G, S and g empty
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({**self.SF, "A": [[1, 0], [0, 1]], "G": [], "S": [], "b": [1, 1], "g": []}))
+        code, out = run(capsys, "solve", str(path))
+        assert code == 0 and kv(out)["status"] == "optimal"
+
     def test_missing_file(self, capsys):
         code, out = run(capsys, "solve", "/no/such/file.json")
         assert code == EXIT_INPUT

@@ -15,14 +15,15 @@ import pytest
 
 from deltailp import cli, dpsolve, intlinalg, solver
 from deltailp.dpsolve import (
-    _block_min,
     _default_chi,
     _doubling_window,
+    _lattice_rows,
     _layer_dp,
-    _layout,
-    _queue_step,
+    _layer_step,
     _recenter,
+    _shift,
     _steps,
+    _window_min,
     _witness,
     binary_decomposition,
     detect_unbounded,
@@ -44,6 +45,7 @@ from deltailp.model import (
     NEG_INF,
     CanonicalInstance,
     CapExceeded,
+    GroupSpec,
     StandardInstance,
     is_feasible,
     objective_value,
@@ -262,36 +264,124 @@ def ref_queue_dp(instance, steps, windows, target, radius):
     return (lambda k, s: layers[k].get(s)), layers[-1].get(target)
 
 
-def chain_min(values, cost, lower, upper, cyclic):
-    """One chain of list values through _layout and _queue_step: out[i] =
-    min over t in [lower, upper] of values[i - t] + cost * t, None being
-    +infinity.  A path reads only i - l < t <= i; a cycle (lower = 0) reads
-    values[(i - t) mod l] with t clamped to l - 1.  (cost, l1) pairs gain |t|
-    on l1 (packed with l1w = 1), plain costs are packed alone (l1w = 0)."""
-    pairs = any(isinstance(v, tuple) for v in values)
-    K, lim = (256 if pairs else 1), 1 << 61  # l1 + |t| < 256 in these tests
-    prev = np.array(
-        [2 * lim if v is None else (v[0] * K + v[1] if pairs else v) for v in values]
-        + [2 * lim],
-        dtype=np.int64,
-    )
-    chain = np.arange(len(values))
-    lay = _layout(chain, chain, len(values), cyclic, lower, upper)
-    out = _queue_step(prev, lay, cost, K, 1 if pairs else 0, lim)
-    return [
-        None if v >= lim else (divmod(v, K) if pairs else v) for v in out.tolist()
-    ]
+DTYPES = (np.int64, object)
+
+
+def read_states(lookup, grp, k, states):
+    """_layer_dp's lookup on a list of (point, residue) states."""
+    points = np.array([p for p, _ in states], dtype=object).reshape(len(states), -1)
+    return lookup(k, points, np.array([grp.encode(r) for _, r in states], dtype=np.int64))
+
+
+def ref_witness(instance, steps, windows, target, value, lookup):
+    """The scalar backward walk on a per-state lookup(k, (point, residue)):
+    at column k the first t in [alpha_k, beta_k] whose predecessor value
+    plus the arc's (c_k * t, |t|) equals the current value."""
+    grp = instance.group
+    y = [0] * instance.n
+    for k in range(instance.n - 1, -1, -1):
+        a_col, g_col = steps[k]
+        alpha, beta = windows[k]
+        for t in range(alpha, beta + 1):
+            pred = (
+                tuple(x - t * v for x, v in zip(target[0], a_col)),
+                grp.sub(target[1], grp.scale(t, g_col)),
+            )
+            pv = lookup(k, pred)
+            if pv is not None and ref_combine(pv, instance.c[k] * t, abs(t)) == value:
+                y[k], target, value = t, pred, pv
+                break
+        else:
+            raise AssertionError("no predecessor matches")
+    return y
+
+
+def chain_graph(chains, cyclic, dtype, offsets=None):
+    """The state graph of chains side by side, for the window kernels:
+    (shift, states, n_pts, grp).  One path is the m = 1 lattice of
+    its offsets under the step a = 1; several paths are the columns of an
+    m = 2 lattice under a = (0, 1), column i starting at offsets[i].  One
+    cycle of length l is Z_l at m = 0 under g = 1; several equal cycles are
+    the points of an m = 1 lattice, each with its own Z_l.  states[i][j] is
+    the state index of element j of chain i."""
+    if cyclic:
+        l = len(chains[0])
+        m = 0 if len(chains) == 1 else 1
+        coords = np.arange(len(chains))[:, None][:, :m]
+        grp, a, g = GroupSpec((l,)), (0,) * m, (1,)
+        states = [[i * l + j for j in range(l)] for i in range(len(chains))]
+    else:
+        offsets = offsets or [0] * len(chains)
+        if len(chains) == 1:
+            coords = offsets[0] + np.arange(len(chains[0]))[:, None]
+            a = (1,)
+        else:
+            coords = np.array(
+                [(i, off + j) for i, (ch, off) in enumerate(zip(chains, offsets))
+                 for j in range(len(ch))]
+            )
+            a = (0, 1)
+        grp, g = GroupSpec(()), ()
+        firsts = np.cumsum([0] + [len(ch) for ch in chains])
+        states = [[int(f) + j for j in range(len(ch))] for f, ch in zip(firsts, chains)]
+    coords = coords.astype(dtype)
+    rows = _lattice_rows(coords)
+    a, g = np.array(a, dtype=dtype), np.array(g, dtype=np.int64)
+    return (lambda j: _shift(coords, rows, grp, a, g, j)), states, len(coords), grp
+
+
+def chains_min(chains, cost, lower, upper, cyclic, dtype, queue=True, offsets=None, K=256):
+    """The chains through _layer_step: out[i] = min over t in [lower, upper]
+    of values[i - t] + cost * t, None being +infinity.  A path reads only
+    i - l < t <= i; a cycle (lower = 0) reads values[(i - t) mod l] with t
+    clamped to l - 1, as _layer_dp clips it.  (cost, l1) pairs gain |t| on
+    l1 (packed as cost * K + l1 with l1w = 1), plain costs are packed alone
+    (l1w = 0).  Returns the unpacked outputs chain by chain."""
+    pairs = any(isinstance(v, tuple) for ch in chains for v in ch)
+    K, lim = (K if pairs else 1), 1 << 61  # l1 + |t| < K in these tests
+    shift, states, n_pts, grp = chain_graph(chains, cyclic, dtype, offsets)
+    size = (n_pts + 1) * grp.order
+    prev = np.full(size, 2 * lim, dtype=dtype)
+    for ch, ids in zip(chains, states):
+        for v, sid in zip(ch, ids):
+            if v is not None:
+                prev[sid] = v[0] * K + v[1] if pairs else v
+    if cyclic:
+        upper = min(upper, len(chains[0]) - 1)
+    out = np.full(size, 2 * lim, dtype=dtype)
+    _layer_step(prev, shift, lower, upper, cost * K, 1 if pairs else 0, lim, queue, out)
+    assert out.dtype == np.dtype(dtype) and (out[-grp.order :] == 2 * lim).all()
+    vals = [None if v >= lim else (divmod(v, K) if pairs else v) for v in out.tolist()]
+    return [[vals[sid] for sid in ids] for ids in states]
+
+
+def chain_min(values, cost, lower, upper, cyclic, dtype=np.int64, queue=True):
+    return chains_min([values], cost, lower, upper, cyclic, dtype, queue)[0]
 
 
 def cycle_min(values, cost, capacity):
-    return chain_min(values, cost, 0, capacity, True)
+    outs = [
+        chain_min(values, cost, 0, capacity, True, dtype, queue)
+        for dtype in DTYPES
+        for queue in (True, False)
+    ]
+    assert all(o == outs[0] for o in outs)
+    return outs[0]
 
 
 def path_min(values, cost, lower, upper):
-    return chain_min(values, cost, lower, upper, False)
+    outs = [
+        chain_min(values, cost, lower, upper, False, dtype, queue)
+        for dtype in DTYPES
+        for queue in (True, False)
+    ]
+    assert all(o == outs[0] for o in outs)
+    return outs[0]
 
 
 class TestSlidingMin:
+    # every case runs both kernels (queue's sparse-table reads, binarized's
+    # remainder arc) on int64 and on dtype object
     def test_cycle_capacity_zero(self):
         vals = [3, None, 1]
         assert cycle_min(vals, 5, 0) == vals
@@ -341,9 +431,8 @@ class TestSlidingMin:
         return out
 
     def test_random_against_naive(self):
-        # lengths up to 40 against small windows make the deque pop from
-        # the back and expire from the front; upper < 0 runs the padded
-        # tail of the t < 0 pass
+        # lengths up to 40 against small windows take the doubling arcs
+        # past the chain's ends; upper < 0 runs the t < 0 window alone
         rng = random.Random(7)
         for _ in range(600):
             l = rng.randint(1, 40)
@@ -368,12 +457,13 @@ class TestSlidingMin:
                 )
 
 
-class TestBlockMin:
+class TestWindowMin:
     LIM = 1 << 61
 
     def test_matches_window_min(self):
-        # every width 1..L on every length up to 24, window starts 0..L-w;
-        # the last block is partial for most (L, w); sentinels (None) mix
+        # every width 1..L on every length up to 24, both directions: with
+        # step 0 a window [0, w - 1] is the trailing window min of the
+        # deque reference and [-w, -1] the leading one; sentinels (None) mix
         # in, and for every third length fill the whole array
         rng = random.Random(3)
         sent = 2 * self.LIM
@@ -382,33 +472,15 @@ class TestBlockMin:
                 None if l % 3 == 0 or rng.random() < 0.3 else rng.randint(-50, 50)
                 for _ in range(l)
             ]
-            for dtype in (np.int64, object):
-                arr = np.array([sent if k is None else k for k in keys], dtype=dtype)
-                for w in range(1, l + 1):
-                    got = _block_min(arr, w, np.arange(l - w + 1)).tolist()
-                    want = ref_window_min(keys, w)[w - 1 :]
-                    assert [None if v == sent else v for v in got] == want
-
-    def chains_min(self, rng, chains, cost, lower, upper, cyclic, K=256):
-        # the chains under shuffled state numbers, with pair values packed
-        # as cost * K + l1; returns the unpacked outputs chain by chain
-        lim = self.LIM
-        flat = [v for ch in chains for v in ch]
-        ids = list(range(len(flat)))
-        rng.shuffle(ids)
-        prev = np.full(len(flat) + 1, 2 * lim, dtype=np.int64)
-        for sid, v in zip(ids, flat):
-            if v is not None:
-                prev[sid] = v[0] * K + v[1]
-        depth = np.concatenate([np.arange(len(ch)) for ch in chains])
-        lay = _layout(np.array(ids), depth, max(map(len, chains)), cyclic, lower, upper)
-        out = _queue_step(prev, lay, cost, K, 1, lim)
-        vals = [None if out[sid] >= lim else divmod(int(out[sid]), K) for sid in ids]
-        res, i = [], 0
-        for ch in chains:
-            res.append(vals[i : i + len(ch)])
-            i += len(ch)
-        return res
+            for dtype in DTYPES:
+                shift = chain_graph([keys], False, dtype)[0]
+                arr = np.array([sent if k is None else k for k in keys] + [sent], dtype=dtype)
+                for w in range(1, l + 2):
+                    back = ref_window_min(keys[::-1], w)[::-1][1:] + [None]
+                    for lo, want in ((0, ref_window_min(keys, w)), (-w, back)):
+                        for queue in (True, False):
+                            got = _window_min(arr, shift, lo, lo + w - 1, 0, queue).tolist()
+                            assert [None if v >= self.LIM else v for v in got[:-1]] == want
 
     def random_values(self, rng, l, dead):
         return [
@@ -417,25 +489,29 @@ class TestBlockMin:
         ]
 
     def test_path_segments(self):
-        # several chains of different lengths side by side, some with no
-        # finite value at all: no window may read across a chain boundary
+        # several chains of different lengths side by side, the columns of an
+        # m = 2 lattice starting at different heights, some with no finite
+        # value at all: no window may read across a chain boundary
         rng = random.Random(4)
-        for _ in range(300):
+        for i in range(300):
             chains = [
                 self.random_values(rng, rng.randint(1, 9), rng.random() < 0.2)
                 for _ in range(rng.randint(1, 5))
             ]
+            offsets = [rng.randint(-4, 4) for _ in chains]
             cost = rng.randint(-3, 4)
             lower = rng.randint(-11, 3)
             upper = rng.randint(lower, lower + 12)
-            got = self.chains_min(rng, chains, cost, lower, upper, False)
+            got = chains_min(
+                chains, cost, lower, upper, False, DTYPES[i % 2], i % 3 > 0, offsets
+            )
             want = [ref_sliding_min_path(ch, cost, lower, upper) for ch in chains]
             assert got == want
 
     def test_cycle_segments(self):
-        # equal-length cycles, each doubled ahead of itself
+        # equal-length cycles, one per lattice point
         rng = random.Random(5)
-        for _ in range(200):
+        for i in range(200):
             l = rng.randint(1, 8)
             chains = [
                 self.random_values(rng, l, rng.random() < 0.2)
@@ -443,9 +519,60 @@ class TestBlockMin:
             ]
             cost = rng.randint(0, 4)
             cap = rng.randint(0, 2 * l)
-            got = self.chains_min(rng, chains, cost, 0, cap, True)
+            got = chains_min(chains, cost, 0, cap, True, DTYPES[i % 2], i % 3 > 0)
             want = [ref_sliding_min_cycle(ch, cost, cap) for ch in chains]
             assert got == want
+
+
+class TestLatticeRows:
+    def check(self, coords, far, dtypes=DTYPES):
+        # every lattice point, its neighbours at distance 1 and far along
+        # each axis, and far diagonals: rows agrees with a dict of the rows
+        table = {tuple(p): i for i, p in enumerate(coords.tolist())}
+        m = coords.shape[1]
+        queries = [tuple(p) for p in coords.tolist()]
+        for p in coords.tolist():
+            for i in range(m):
+                for d in (-1, 1, -far, far):
+                    queries.append(tuple(v + d * (j == i) for j, v in enumerate(p)))
+            queries.append(tuple(v + far for v in p))
+        want = [table.get(q, -1) for q in queries]
+        assert any(w < 0 for w in want) or m == 0
+        for dtype in dtypes:
+            rows = _lattice_rows(coords.astype(dtype))
+            for qdtype in dtypes:
+                Y = np.array(queries, dtype=qdtype).reshape(len(queries), m)
+                got = rows(Y)
+                assert got.dtype == np.int64 and got.tolist() == want
+
+    def test_m0(self):
+        self.check(np.zeros((1, 0), dtype=np.int64), 1)
+
+    def test_random_bases(self):
+        # m = 1, 2, 3 bases with |det| up to a few, negative entries and
+        # offsets of 2^40 (past the int32 range, inside int64)
+        rng = random.Random(17)
+        seen = set()
+        for i in range(24):
+            m = 1 + i % 3
+            while True:
+                b = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+                if det(IntMat.from_rows(b)) != 0:
+                    break
+            coords = ParallelepipedLattice(IntMat.from_rows(b)).points((0,) * m, rng.randint(1, 3))
+            if i % 4 == 3:
+                coords = coords + (1 << 40)
+            far = 2 * int(abs(coords).max()) + 1
+            self.check(coords, far)
+            seen.add(m)
+        assert seen == {1, 2, 3}
+
+    def test_huge_prefix_box(self):
+        # prefixes spanning more than 2^62 points: the keys are Python ints
+        coords = np.array(
+            [(0, 0, 0), (0, 0, 1), (0, 2**62, 5), (2**62, 0, -1), (2**62, 0, 0)], dtype=object
+        )
+        self.check(coords, 2**63, (object,))
 
 
 class TestBinaryDecomposition:
@@ -609,16 +736,16 @@ class TestLayerReference:
         if lookup is None:  # the target is off the lattice
             assert target[0] not in set(state_points(inst, radius))
             return windows
-        residues = inst.group.elements()
+        states = [(p, r) for p in state_points(inst, radius) for r in inst.group.elements()]
         for k in range(inst.n + 1):
-            for p in state_points(inst, radius):
-                for r in residues:
-                    want = ref_lookup(k, (p, r))
-                    assert lookup(k, (p, r)) == want, (k, p, r)
-                    assert bin_lookup(k, (p, r)) == (None if want is None else want[0])
+            want = [ref_lookup(k, s) for s in states]
+            assert read_states(lookup, inst.group, k, states) == want, k
+            assert read_states(bin_lookup, inst.group, k, states) == [
+                None if v is None else v[0] for v in want
+            ]
         if ref_val is not None:
             y = _witness(inst, steps, windows, target, val, lookup)
-            assert y == _witness(inst, steps, windows, target, ref_val, ref_lookup)
+            assert y == ref_witness(inst, steps, windows, target, ref_val, ref_lookup)
         return windows
 
     def test_layers_match_reference(self):
@@ -705,14 +832,17 @@ class TestLayerReference:
             on = set(pts)
             w = 2 * max(abs(v) for p in pts for v in p) + 1
             shifts = [(-1, w, 0), (1, -w, 0), (0, -1, w), (0, 0, 1), (0, 0, -1), (w, 0, 0)]
-            for p in pts:
-                for shift in shifts:
-                    q = tuple(a + b for a, b in zip(p, shift))
-                    if q not in on:
-                        for k in (0, inst.n):
-                            for r in inst.group.elements():
-                                assert lookup(k, (q, r)) is None
-            assert lookup(0, ((0, 0, 0), inst.group.zero)) == (0, 0)
+            off = [
+                (q, r)
+                for p in pts
+                for shift in shifts
+                for q in [tuple(a + b for a, b in zip(p, shift))]
+                if q not in on
+                for r in inst.group.elements()
+            ]
+            for k in (0, inst.n):
+                assert read_states(lookup, inst.group, k, off) == [None] * len(off)
+            assert read_states(lookup, inst.group, 0, [((0, 0, 0), inst.group.zero)]) == [(0, 0)]
             checked += 1
 
     def test_target_off_the_lattice(self):
