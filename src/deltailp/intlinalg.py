@@ -36,15 +36,15 @@ class IntMat:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not self.entries or not self.entries[0]:
+        # the one entry check of every matrix: exactly int, so bool, float,
+        # str and nested entries are refused, never coerced
+        entries = self.entries
+        if not entries or not entries[0]:
             raise DimensionError("matrix must have at least one row and column")
-        width = len(self.entries[0])
-        for row in self.entries:
-            if len(row) != width:
-                raise DimensionError("ragged rows")
-            for e in row:
-                if not isinstance(e, int) or isinstance(e, bool):
-                    raise DimensionError("entries must be integers")
+        if len(set(map(len, entries))) != 1:
+            raise DimensionError("ragged rows")
+        if not {int}.issuperset(map(type, itertools.chain.from_iterable(entries))):
+            raise DimensionError("entries must be integers")
 
     @property
     def rows(self) -> int:
@@ -56,7 +56,7 @@ class IntMat:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "IntMat":
-        return IntMat(tuple(tuple(int(e) for e in row) for row in rows))
+        return IntMat(tuple(map(tuple, rows)))
 
     @staticmethod
     def identity(n: int) -> "IntMat":

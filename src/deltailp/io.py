@@ -3,25 +3,22 @@
 Instances are stored as UTF-8 JSON text: a top-level map whose "form" key
 is one of ilp-cf, bilp-cf, ilp-sf, bilp-sf, group.  Integer matrices are
 arrays of row arrays; an empty matrix is the empty array.  Infinite bounds
-are spelled as the strings "-inf" and "+inf".  Parsers reject unknown keys.
+are spelled as the strings "-inf" and "+inf".
 
 Schema per form (all keys required unless noted):
 
 * ilp-cf / bilp-cf: A, b_l (entries int or "-inf"; ilp-cf forces all
   "-inf"), b_r, c.
 * ilp-sf / bilp-sf: A (empty array when there are no equality rows), G, S
-  (diagonal, entries >= 1), b, g, u (entries int >= 0 or "+inf"; ilp-sf
-  forces all "+inf"), c.
-* group: moduli (entries >= 1), generators, target, costs, bounds (entries
-  int >= 0 or "+inf").
+  (empty arrays for the classic standard form), b, g, u (entries int or
+  "+inf"; ilp-sf forces all "+inf"), c.
+* group: moduli, generators, target, costs, bounds (entries int or "+inf").
 
-Every dimension must agree, or the file is refused: in ilp-cf / bilp-cf,
-|b_l| = |b_r| = the rows of A and |c| = its columns; in ilp-sf / bilp-sf,
-with n = |c| and m the rows of A (0 when A is empty), A and G have n
-columns, G has n - m rows unless it is empty, |u| = n, |b| = m and |g| =
-the rows of G = the rows of S; in group, every
-generator and the target have one entry per modulus, and |costs| =
-|bounds| = the number of generators.
+Parsers reject unknown and missing keys and every value of the wrong JSON
+type; matrix entries are checked by :class:`IntMat` itself.  The instance
+is then refused on the first of :func:`model.structural_issues`: the
+dimensions of the form, G and S both present or both empty, S diagonal
+with entries >= 1, u and bounds >= 0, and moduli >= 1.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .intlinalg import IntMat
+from .intlinalg import DimensionError, IntMat
 from .model import (
     NEG_INF,
     POS_INF,
@@ -40,6 +37,7 @@ from .model import (
     StandardInstance,
     _Infinity,
     is_finite,
+    structural_issues,
 )
 
 
@@ -49,7 +47,13 @@ class FormatError(ValueError):
 
 _CF_KEYS = {"form", "A", "b_l", "b_r", "c"}
 _SF_KEYS = {"form", "A", "G", "S", "b", "g", "u", "c"}
-_GROUP_KEYS = {"form", "moduli", "generators", "target", "costs", "bounds"}
+_KEYS = {
+    "ilp-cf": _CF_KEYS,
+    "bilp-cf": _CF_KEYS,
+    "ilp-sf": _SF_KEYS,
+    "bilp-sf": _SF_KEYS,
+    "group": {"form", "moduli", "generators", "target", "costs", "bounds"},
+}
 
 
 def _int(v: Any, where: str) -> int:
@@ -65,13 +69,19 @@ def _ext(v: Any, where: str, allow: str) -> Any:
 
 
 def _matrix(v: Any, where: str) -> IntMat | None:
-    if not isinstance(v, list):
+    if not isinstance(v, list) or not all(isinstance(row, list) for row in v):
         raise FormatError(f"{where}: expected an array of row arrays")
     if not v:
         return None
-    if not all(isinstance(row, list) for row in v):
-        raise FormatError(f"{where}: expected an array of row arrays")
-    return IntMat.from_rows([[_int(e, where) for e in row] for row in v])
+    try:
+        return IntMat.from_rows(v)
+    except DimensionError:
+        # name the first entry that is not an integer; a matrix of
+        # integers keeps IntMat's own message ("ragged rows")
+        for row in v:
+            for e in row:
+                _int(e, where)
+        raise
 
 
 def _vector(v: Any, where: str, allow: str | None = None) -> tuple:
@@ -82,17 +92,48 @@ def _vector(v: Any, where: str, allow: str | None = None) -> tuple:
     return tuple(_ext(e, where, allow) for e in v)
 
 
-def _at_least(v: tuple, low: int, where: str) -> tuple:
-    if any(is_finite(e) and e < low for e in v):
-        raise FormatError(f"{where}: entries must be >= {low}")
-    return v
-
-
-def _sizes(*checks: tuple[str, int, int]) -> None:
-    """Raise FormatError at the first (what, size, expected) that differ."""
-    for what, size, expected in checks:
-        if size != expected:
-            raise FormatError(f"{what} is {size}, expected {expected}")
+def _build(form: str, data: dict) -> Instance:
+    """The instance a file spells, with every value type-checked."""
+    if form in ("ilp-cf", "bilp-cf"):
+        a = _matrix(data["A"], "A")
+        if a is None:
+            raise FormatError("A must be nonempty")
+        b_l = _vector(data["b_l"], "b_l", allow="-inf")
+        if form == "ilp-cf" and any(is_finite(v) for v in b_l):
+            raise FormatError("ilp-cf requires every b_l entry to be \"-inf\"")
+        return CanonicalInstance(
+            A=a, b_l=b_l, b_r=_vector(data["b_r"], "b_r"), c=_vector(data["c"], "c")
+        )
+    if form in ("ilp-sf", "bilp-sf"):
+        a = _matrix(data["A"], "A")
+        g_mat = _matrix(data["G"], "G")
+        s_mat = _matrix(data["S"], "S")
+        u = _vector(data["u"], "u", allow="+inf")
+        if form == "ilp-sf" and any(is_finite(v) for v in u):
+            raise FormatError("ilp-sf requires every u entry to be \"+inf\"")
+        c = _vector(data["c"], "c")
+        return StandardInstance(
+            n=len(c),
+            m=a.rows if a is not None else 0,
+            A=a,
+            G=g_mat,
+            S=s_mat,
+            b=_vector(data["b"], "b"),
+            g=_vector(data["g"], "g"),
+            u=u,
+            c=c,
+        )
+    moduli = _vector(data["moduli"], "moduli")
+    gens = data["generators"]
+    if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
+        raise FormatError("generators: expected an array of element arrays")
+    return GroupInstance(
+        group=GroupSpec(moduli=moduli),
+        generators=tuple(_vector(g, "generators") for g in gens),
+        target=_vector(data["target"], "target"),
+        costs=_vector(data["costs"], "costs"),
+        bounds=_vector(data["bounds"], "bounds", allow="+inf"),
+    )
 
 
 def parse_instance(text: str) -> Instance:
@@ -103,100 +144,20 @@ def parse_instance(text: str) -> Instance:
     if not isinstance(data, dict):
         raise FormatError("top level must be a map")
     form = data.get("form")
-    if form in ("ilp-cf", "bilp-cf"):
-        unknown = set(data) - _CF_KEYS
-        if unknown:
-            raise FormatError(f"unknown keys: {sorted(unknown)}")
-        missing = _CF_KEYS - set(data)
-        if missing:
-            raise FormatError(f"missing keys: {sorted(missing)}")
-        a = _matrix(data["A"], "A")
-        if a is None:
-            raise FormatError("A must be nonempty")
-        b_l = _vector(data["b_l"], "b_l", allow="-inf")
-        if form == "ilp-cf" and any(is_finite(v) for v in b_l):
-            raise FormatError("ilp-cf requires every b_l entry to be \"-inf\"")
-        cf = CanonicalInstance(
-            A=a,
-            b_l=b_l,
-            b_r=_vector(data["b_r"], "b_r"),
-            c=_vector(data["c"], "c"),
-        )
-        _sizes(("length of b_l", len(b_l), a.rows), ("length of b_r", len(cf.b_r), a.rows),
-               ("length of c", len(cf.c), a.cols))
-        return cf
-    if form in ("ilp-sf", "bilp-sf"):
-        unknown = set(data) - _SF_KEYS
-        if unknown:
-            raise FormatError(f"unknown keys: {sorted(unknown)}")
-        missing = _SF_KEYS - set(data)
-        if missing:
-            raise FormatError(f"missing keys: {sorted(missing)}")
-        a = _matrix(data["A"], "A")
-        g_mat = _matrix(data["G"], "G")
-        s_mat = _matrix(data["S"], "S")
-        if (g_mat is None) != (s_mat is None):
-            raise FormatError("G and S must both be present or both empty")
-        if s_mat is not None and (s_mat.rows != s_mat.cols or any(
-            row[i] < 1 or row.count(0) != len(row) - 1 for i, row in enumerate(s_mat.entries)
-        )):
-            raise FormatError("S must be diagonal with entries >= 1")
-        u = _at_least(_vector(data["u"], "u", allow="+inf"), 0, "u")
-        if form == "ilp-sf" and any(is_finite(v) for v in u):
-            raise FormatError("ilp-sf requires every u entry to be \"+inf\"")
-        c = _vector(data["c"], "c")
-        n = len(c)
-        m = a.rows if a is not None else 0
-        sf = StandardInstance(
-            n=n,
-            m=m,
-            A=a,
-            G=g_mat,
-            S=s_mat,
-            b=_vector(data["b"], "b"),
-            g=_vector(data["g"], "g"),
-            u=u,
-            c=c,
-        )
-        d = g_mat.rows if g_mat is not None else 0
-        _sizes(
-            ("row count of G", d, n - m if g_mat is not None else 0),
-            ("column count of A", a.cols if a is not None else n, n),
-            ("length of u", len(u), n),
-            ("length of b", len(sf.b), m),
-            ("column count of G", g_mat.cols if g_mat is not None else n, n),
-            ("row count of S", s_mat.rows if s_mat is not None else 0, d),
-            ("length of g", len(sf.g), d),
-        )
-        return sf
-    if form == "group":
-        unknown = set(data) - _GROUP_KEYS
-        if unknown:
-            raise FormatError(f"unknown keys: {sorted(unknown)}")
-        missing = _GROUP_KEYS - set(data)
-        if missing:
-            raise FormatError(f"missing keys: {sorted(missing)}")
-        gens = data["generators"]
-        if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
-            raise FormatError("generators: expected an array of element arrays")
-        grp = GroupInstance(
-            group=GroupSpec(moduli=_at_least(_vector(data["moduli"], "moduli"), 1, "moduli")),
-            generators=tuple(_vector(g, "generators") for g in gens),
-            target=_vector(data["target"], "target"),
-            costs=_vector(data["costs"], "costs"),
-            bounds=_at_least(_vector(data["bounds"], "bounds", allow="+inf"), 0, "bounds"),
-        )
-        k = len(grp.group.moduli)
-        _sizes(
-            *(("length of a generator", len(g), k) for g in grp.generators),
-            ("length of target", len(grp.target), k),
-            ("length of costs", len(grp.costs), grp.n),
-            ("length of bounds", len(grp.bounds), grp.n),
-        )
-        return grp
-    raise FormatError(
-        "form must be one of ilp-cf, bilp-cf, ilp-sf, bilp-sf, group"
-    )
+    keys = _KEYS.get(form) if isinstance(form, str) else None
+    if keys is None:
+        raise FormatError("form must be one of ilp-cf, bilp-cf, ilp-sf, bilp-sf, group")
+    unknown = set(data) - keys
+    if unknown:
+        raise FormatError(f"unknown keys: {sorted(unknown)}")
+    missing = keys - set(data)
+    if missing:
+        raise FormatError(f"missing keys: {sorted(missing)}")
+    instance = _build(form, data)
+    issues = structural_issues(instance)
+    if issues:
+        raise FormatError(issues[0])
+    return instance
 
 
 def _enc(v) -> Any:

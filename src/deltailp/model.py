@@ -278,100 +278,126 @@ class SolveOutcome:
         return SolveOutcome(status="unbounded", certificate=certificate)
 
 
-def _stack(inst: StandardInstance) -> IntMat:
-    rows: list[list[int]] = []
-    if inst.A is not None:
-        rows.extend(inst.A.to_lists())
-    if inst.G is not None:
-        rows.extend(inst.G.to_lists())
-    return IntMat.from_rows(rows)
+def _size_issues(*checks: tuple[str, int, int]) -> list[str]:
+    return [f"{what} is {size}, expected {expected}" for what, size, expected in checks
+            if size != expected]
+
+
+def structural_issues(instance: Instance) -> list[str]:
+    """The rules every instance file must meet, in the order the parser
+    applies them (its refusal is the first): the dimensions of each form
+    agree; G and S are both present or both empty, and S is square and
+    diagonal with entries >= 1; u and bounds are >= 0 and moduli >= 1.
+
+    In ilp-cf / bilp-cf, |b_l| = |b_r| = the rows of A and |c| = its
+    columns.  In ilp-sf / bilp-sf, |c| = n, A has m rows (none when it is
+    empty) and n columns, G has n columns and n - m rows unless it is
+    empty, |u| = n, |b| = m and |g| = the rows of G = the rows of S.  In
+    group, every generator and the target have one entry per modulus, and
+    |costs| = |bounds| = the number of generators.
+    """
+    if isinstance(instance, CanonicalInstance):
+        a = instance.A
+        return _size_issues(
+            ("length of b_l", len(instance.b_l), a.rows),
+            ("length of b_r", len(instance.b_r), a.rows),
+            ("length of c", len(instance.c), a.cols),
+        )
+    if isinstance(instance, StandardInstance):
+        n, m, a, g_mat, s_mat = instance.n, instance.m, instance.A, instance.G, instance.S
+        issues = []
+        if (g_mat is None) != (s_mat is None):
+            issues.append("G and S must both be present or both empty")
+        if s_mat is not None and (s_mat.rows != s_mat.cols or any(
+            row[i] < 1 or row.count(0) != len(row) - 1 for i, row in enumerate(s_mat.entries)
+        )):
+            issues.append("S must be diagonal with entries >= 1")
+        if any(v < 0 for v in instance.u):
+            issues.append("u: entries must be >= 0")
+        d = g_mat.rows if g_mat is not None else 0
+        return issues + _size_issues(
+            ("length of c", len(instance.c), n),
+            ("row count of A", a.rows if a is not None else 0, m),
+            ("row count of G", d, n - m if g_mat is not None else 0),
+            ("column count of A", a.cols if a is not None else n, n),
+            ("length of u", len(instance.u), n),
+            ("length of b", len(instance.b), m),
+            ("column count of G", g_mat.cols if g_mat is not None else n, n),
+            ("row count of S", s_mat.rows if s_mat is not None else 0, d),
+            ("length of g", len(instance.g), d),
+        )
+    if isinstance(instance, GroupInstance):
+        k = len(instance.group.moduli)
+        issues = []
+        if any(d < 1 for d in instance.group.moduli):
+            issues.append("moduli: entries must be >= 1")
+        if any(v < 0 for v in instance.bounds):
+            issues.append("bounds: entries must be >= 0")
+        return issues + _size_issues(
+            *(("length of a generator", len(g), k) for g in instance.generators),
+            ("length of target", len(instance.target), k),
+            ("length of costs", len(instance.costs), instance.n),
+            ("length of bounds", len(instance.bounds), instance.n),
+        )
+    raise TypeError(f"unknown instance type: {type(instance)!r}")
 
 
 def validate(instance: Instance) -> list[str]:
-    """Report-only validation: list of violated invariants (empty = valid)."""
-    issues: list[str] = []
+    """Report-only validation: list of violated invariants (empty = valid).
+
+    The list starts with :func:`structural_issues`, the rules the parser
+    refuses a file on, and ends there when any of them fails.  Otherwise it
+    holds the paper's invariants that the parser does not check:
+
+    * canonical: A has full column rank, and b_l <= b_r;
+    * standard, generalized (G present): the divisibility chain of diag(S),
+      g reduced into [0, diag(S)), and a unimodular stack [A; G];
+    * standard, classic (G and S empty): A x = b, 0 <= x <= u with A of
+      full row rank;
+    * standard, both: nonnegative costs;
+    * group: the divisibility chain of the moduli, at least one generator,
+      reduced elements and nonnegative costs.
+    """
+    issues = structural_issues(instance)
+    if issues:
+        return issues
     if isinstance(instance, CanonicalInstance):
         a = instance.A
         if a.rows < a.cols:
             issues.append("A must have at least as many rows as columns")
         elif rank(a) != a.cols:
             issues.append("A does not have full column rank")
-        if len(instance.b_l) != a.rows or len(instance.b_r) != a.rows:
-            issues.append("bound vector length differs from row count")
-        else:
-            for lo, hi in zip(instance.b_l, instance.b_r):
-                if is_finite(lo) and lo > hi:
-                    issues.append("b_l exceeds b_r on some row")
-                    break
-        if len(instance.c) != a.cols:
-            issues.append("objective length differs from variable count")
+        if any(is_finite(lo) and lo > hi for lo, hi in zip(instance.b_l, instance.b_r)):
+            issues.append("b_l exceeds b_r on some row")
         return issues
     if isinstance(instance, StandardInstance):
-        n, m = instance.n, instance.m
-        if not 0 <= m <= n:
-            issues.append("row count m out of range")
-            return issues
-        if (instance.A is None) != (m == 0):
-            issues.append("A present iff m > 0")
-        if (instance.G is None) != (m == n) or (instance.S is None) != (m == n):
-            issues.append("G and S present iff m < n")
-        if instance.A is not None and (instance.A.rows, instance.A.cols) != (m, n):
-            issues.append("A has wrong shape")
-        if instance.G is not None and (instance.G.rows, instance.G.cols) != (n - m, n):
-            issues.append("G has wrong shape")
-        if issues:
-            return issues
-        if m < n:
+        if instance.G is None:
+            if instance.A is not None and rank(instance.A) != instance.m:
+                issues.append("A does not have full row rank")
+        else:
             s = instance.S
             diag = [s.entries[i][i] for i in range(s.rows)]
-            if s.rows != n - m or s.cols != n - m:
-                issues.append("S has wrong shape")
-            elif any(
-                s.entries[i][j] != 0 for i in range(s.rows) for j in range(s.cols) if i != j
-            ):
-                issues.append("S is not diagonal")
-            elif any(d <= 0 for d in diag):
-                issues.append("S diagonal must be positive")
-            elif any(diag[i + 1] % diag[i] != 0 for i in range(len(diag) - 1)):
+            if any(diag[i + 1] % diag[i] != 0 for i in range(len(diag) - 1)):
                 issues.append("divisibility chain")
             elif any(not 0 <= gi < di for gi, di in zip(instance.g, diag)):
                 issues.append("g not reduced into [0, diag(S))")
-        if n > 0 and abs(det(_stack(instance))) != 1:
-            issues.append("stack not unimodular")
-        if len(instance.b) != m:
-            issues.append("b has wrong length")
-        if len(instance.g) != n - m:
-            issues.append("g has wrong length")
-        if len(instance.u) != n or len(instance.c) != n:
-            issues.append("u or c has wrong length")
-        elif any(isinstance(v, _Infinity) and v.sign < 0 for v in instance.u):
-            issues.append("u entries must be integers or +inf")
+            a_rows = instance.A.entries if instance.A is not None else ()
+            if abs(det(IntMat(a_rows + instance.G.entries))) != 1:
+                issues.append("stack not unimodular")
         if any(ci < 0 for ci in instance.c):
             issues.append("costs must be nonnegative")
-        if any(is_finite(v) and v < 0 for v in instance.u):
-            issues.append("upper bounds must be nonnegative")
         return issues
-    if isinstance(instance, GroupInstance):
-        mods = instance.group.moduli
-        if any(d < 1 for d in mods):
-            issues.append("moduli must be >= 1")
-        if any(mods[i + 1] % mods[i] != 0 for i in range(len(mods) - 1)):
-            issues.append("divisibility chain")
-        if instance.n < 1:
-            issues.append("at least one generator required")
-        for gen in instance.generators + (instance.target,):
-            if len(gen) != len(mods):
-                issues.append("element length differs from factor count")
-                break
-            if any(not 0 <= e < d for e, d in zip(gen, mods)):
-                issues.append("element not reduced")
-                break
-        if len(instance.costs) != instance.n or len(instance.bounds) != instance.n:
-            issues.append("costs or bounds have wrong length")
-        elif any(ci < 0 for ci in instance.costs):
-            issues.append("costs must be nonnegative")
-        return issues
-    raise TypeError(f"unknown instance type: {type(instance)!r}")
+    mods = instance.group.moduli
+    if any(mods[i + 1] % mods[i] != 0 for i in range(len(mods) - 1)):
+        issues.append("divisibility chain")
+    if instance.n < 1:
+        issues.append("at least one generator required")
+    if any(not 0 <= e < d for gen in instance.generators + (instance.target,)
+           for e, d in zip(gen, mods)):
+        issues.append("element not reduced")
+    if any(ci < 0 for ci in instance.costs):
+        issues.append("costs must be nonnegative")
+    return issues
 
 
 @dataclass(frozen=True)
@@ -514,17 +540,19 @@ def is_feasible(instance: Instance, x: Sequence[int]) -> bool:
             for lo, v, hi in zip(instance.b_l, ax, instance.b_r)
         )
     if isinstance(instance, StandardInstance):
-        if any(xi < 0 for xi in x):
+        if len(x) != instance.n or any(xi < 0 for xi in x):
             return False
         if any(is_finite(ui) and xi > ui for xi, ui in zip(x, instance.u)):
             return False
         if instance.A is not None and instance.A.matvec(tuple(x)) != instance.b:
             return False
         if instance.G is not None:
-            gx = instance.G.matvec(tuple(x))
-            diag = [instance.S.entries[i][i] for i in range(instance.S.rows)]
-            if any((v - gi) % d != 0 for v, gi, d in zip(gx, instance.g, diag)):
-                return False
+            # straight from G, g and S, sharing nothing with the residue
+            # the solvers use; a row mod 1 always holds
+            for i, (row, gi) in enumerate(zip(instance.G.entries, instance.g)):
+                d = instance.S.entries[i][i]
+                if d > 1 and (sum(a * v for a, v in zip(row, x)) - gi) % d:
+                    return False
         return True
     if isinstance(instance, GroupInstance):
         if any(xi < 0 for xi in x):

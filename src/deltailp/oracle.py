@@ -2,8 +2,7 @@
 
 Exhaustive solvers over explicit boxes, integer hull vertex enumeration at
 tiny scale, and brute-force group minimization.  Results are exact; the
-point cap (env var DELTA_ILP_POINT_CAP, default 10^7) guards against
-accidental blowups.
+point cap ``_POINT_CAP`` (10^7 points) guards against accidental blowups.
 
 Enumeration is vectorized with 64-bit integer arrays when an a priori bound
 shows that no intermediate value can overflow; otherwise a pure-Python path
@@ -15,7 +14,6 @@ simplex, so the oracle shares no LP code with the solvers it checks.
 from __future__ import annotations
 
 import itertools
-import os
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,9 +31,7 @@ from .model import (
 Box = Sequence[tuple[int, int]]
 
 
-def point_cap() -> int:
-    raw = os.environ.get("DELTA_ILP_POINT_CAP")
-    return int(raw) if raw else 10**7
+_POINT_CAP = 10**7
 
 
 def _box_volume(box: Box) -> int:
@@ -48,9 +44,8 @@ def _box_volume(box: Box) -> int:
 
 
 def _check_cap(count: int) -> None:
-    cap = point_cap()
-    if count > cap:
-        raise CapExceeded(f"enumeration of {count} points exceeds cap {cap}")
+    if count > _POINT_CAP:
+        raise CapExceeded(f"enumeration of {count} points exceeds cap {_POINT_CAP}")
 
 
 def _int64_safe(mat_rows: list[list[int]], box: Box) -> bool:
@@ -301,12 +296,11 @@ def group_feasible_points(
     target = grp.reduce(instance.target)
     out: list[tuple[int, ...]] = []
     counter = [0]
-    cap = point_cap()
 
     def rec(idx: int, remaining: int, acc, prefix: list[int]) -> None:
         counter[0] += 1
-        if counter[0] > cap:
-            raise CapExceeded(f"group enumeration exceeds cap {cap}")
+        if counter[0] > _POINT_CAP:
+            raise CapExceeded(f"group enumeration exceeds cap {_POINT_CAP}")
         if idx == n:
             if acc == target:
                 out.append(tuple(prefix))

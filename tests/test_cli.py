@@ -22,7 +22,16 @@ from deltailp.cli import (
 from deltailp.intlinalg import IntMat, minor_stats
 from deltailp.io import load_instance, parse_instance, serialize_instance
 from deltailp.lp import solve_lp
-from deltailp.model import POS_INF, CertificateError, StandardInstance, validate
+from deltailp.model import (
+    NEG_INF,
+    POS_INF,
+    CanonicalInstance,
+    CertificateError,
+    GroupInstance,
+    GroupSpec,
+    StandardInstance,
+    validate,
+)
 from deltailp.oracle import brute_force_ilp
 
 
@@ -30,6 +39,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def in_memory(data):
+    """The instance a file's JSON spells, built without the parser."""
+    def mat(rows):
+        return IntMat.from_rows(rows) if rows else None
+
+    def ext(v):
+        return tuple({"+inf": POS_INF, "-inf": NEG_INF}.get(e, e) for e in v)
+
+    if data["form"].endswith("-cf"):
+        return CanonicalInstance(A=mat(data["A"]), b_l=ext(data["b_l"]), b_r=tuple(data["b_r"]),
+                                 c=tuple(data["c"]))
+    if data["form"].endswith("-sf"):
+        a = mat(data["A"])
+        return StandardInstance(
+            n=len(data["c"]), m=a.rows if a else 0, A=a, G=mat(data["G"]), S=mat(data["S"]),
+            b=tuple(data["b"]), g=tuple(data["g"]), u=ext(data["u"]), c=tuple(data["c"]),
+        )
+    return GroupInstance(
+        group=GroupSpec(tuple(data["moduli"])), generators=tuple(map(tuple, data["generators"])),
+        target=tuple(data["target"]), costs=tuple(data["costs"]), bounds=ext(data["bounds"]),
+    )
 
 
 def kv(out):
@@ -130,18 +162,21 @@ class TestSolve:
         assert kv(out)["status"] == "infeasible"
 
     @pytest.mark.parametrize(
-        "data",
+        "data, detail",
         [
-            {"form": "ilp-sf", "A": [[1, 0]], "G": [[0, 1]], "S": [[0]], "b": [1],
-             "g": [0], "u": ["+inf", "+inf"], "c": [1, 1]},
-            {"form": "group", "moduli": [0], "generators": [[1]], "target": [0],
-             "costs": [1], "bounds": ["+inf"]},
-            {"form": "bilp-sf", "A": [[1, 1]], "G": [[0, 1]], "S": [[1]], "b": [2],
-             "g": [0], "u": [-1, 3], "c": [1, 1]},
+            ({"form": "ilp-sf", "A": [[1, 0]], "G": [[0, 1]], "S": [[0]], "b": [1],
+              "g": [0], "u": ["+inf", "+inf"], "c": [1, 1]},
+             "S must be diagonal with entries >= 1"),
+            ({"form": "group", "moduli": [0], "generators": [[1]], "target": [0],
+              "costs": [1], "bounds": ["+inf"]},
+             "moduli: entries must be >= 1"),
+            ({"form": "bilp-sf", "A": [[1, 1]], "G": [[0, 1]], "S": [[1]], "b": [2],
+              "g": [0], "u": [-1, 3], "c": [1, 1]},
+             "u: entries must be >= 0"),
         ],
         ids=["S-zero", "modulus-zero", "u-negative"],
     )
-    def test_invalid_numbers_exit_input(self, capsys, tmp_path, data):
+    def test_invalid_numbers_exit_input(self, capsys, tmp_path, data, detail):
         # a zero modulus would divide by zero in the solvers and the
         # feasibility check, and a negative upper bound would be answered
         # "infeasible"
@@ -151,7 +186,10 @@ class TestSolve:
         out, err = capsys.readouterr()
         assert code == EXIT_INPUT
         assert kv(out)["error"] == "input"
+        assert kv(out)["error.detail"] == detail
         assert "Traceback" not in out + err
+        # validate reports the parser's refusal first
+        assert validate(in_memory(data))[0] == detail
 
     SF = {"form": "bilp-sf", "A": [[1, 1]], "G": [[0, 1]], "S": [[2]], "b": [2], "g": [0],
           "u": [3, 3], "c": [1, 1]}
@@ -160,22 +198,24 @@ class TestSolve:
     CF = {"form": "bilp-cf", "A": [[1, 0], [0, 1]], "b_l": [0, 0], "b_r": [1, 1], "c": [1, 1]}
 
     @pytest.mark.parametrize(
-        "base, change",
+        "base, change, detail",
         [
-            (SF, {"b": [2, 3]}),
-            (SF, {"u": [3]}),
-            (SF, {"G": [[0, 1, 0]]}),
-            (SF, {"A": [[1, 1, 1]]}),
-            (SF, {"A": [[1, 1, 0]], "G": [[0, 1, 0], [0, 0, 1]], "u": [3, 3, 3], "c": [1, 1, 1]}),
-            (SF, {"g": [0, 1]}),
-            (SF, {"A": [[1, 2, 3]], "G": [[0, 1, 0]], "u": [3, 3, 3], "c": [1, 1, 1]}),
-            (GROUP, {"generators": [[1]]}),
-            (GROUP, {"target": [0]}),
-            (GROUP, {"costs": [1, 2]}),
-            (GROUP, {"bounds": ["+inf", 2]}),
-            (CF, {"c": [1]}),
-            (CF, {"b_l": [0]}),
-            (CF, {"b_r": [1, 1, 1]}),
+            (SF, {"b": [2, 3]}, "length of b is 2, expected 1"),
+            (SF, {"u": [3]}, "length of u is 1, expected 2"),
+            (SF, {"G": [[0, 1, 0]]}, "column count of G is 3, expected 2"),
+            (SF, {"A": [[1, 1, 1]]}, "column count of A is 3, expected 2"),
+            (SF, {"A": [[1, 1, 0]], "G": [[0, 1, 0], [0, 0, 1]], "u": [3, 3, 3], "c": [1, 1, 1]},
+             "row count of S is 1, expected 2"),
+            (SF, {"g": [0, 1]}, "length of g is 2, expected 1"),
+            (SF, {"A": [[1, 2, 3]], "G": [[0, 1, 0]], "u": [3, 3, 3], "c": [1, 1, 1]},
+             "row count of G is 1, expected 2"),
+            (GROUP, {"generators": [[1]]}, "length of a generator is 1, expected 2"),
+            (GROUP, {"target": [0]}, "length of target is 1, expected 2"),
+            (GROUP, {"costs": [1, 2]}, "length of costs is 2, expected 1"),
+            (GROUP, {"bounds": ["+inf", 2]}, "length of bounds is 2, expected 1"),
+            (CF, {"c": [1]}, "length of c is 1, expected 2"),
+            (CF, {"b_l": [0]}, "length of b_l is 1, expected 2"),
+            (CF, {"b_r": [1, 1, 1]}, "length of b_r is 3, expected 2"),
         ],
         ids=[
             "b-longer-than-A-rows", "u-shorter-than-n", "G-wider-than-n", "A-wider-than-n",
@@ -184,7 +224,7 @@ class TestSolve:
             "costs-long", "bounds-long", "cf-c-short", "cf-b_l-short", "cf-b_r-long",
         ],
     )
-    def test_mismatched_dimensions_exit_input(self, capsys, tmp_path, base, change):
+    def test_mismatched_dimensions_exit_input(self, capsys, tmp_path, base, change, detail):
         # unchecked, these were answered "infeasible" or "optimal", failed
         # the certificate, or raised an IndexError
         path = tmp_path / "bad.json"
@@ -193,7 +233,10 @@ class TestSolve:
         out, err = capsys.readouterr()
         assert code == EXIT_INPUT
         assert kv(out)["error"] == "input"
+        assert kv(out)["error.detail"] == detail
         assert "Traceback" not in out + err
+        # validate reports the parser's refusal first
+        assert validate(in_memory({**base, **change}))[0] == detail
 
     def test_empty_group_part_stays_valid(self, capsys, tmp_path):
         # m = n: G, S and g empty
@@ -440,7 +483,7 @@ class TestChecksUnderOptimize:
             cli.bench_knapsack_delta(n=4, deltas=(2, 4), repeats=1)
         except CertificateError as exc:
             print(exc)
-        cli.validate = lambda inst: ["upper bounds must be nonnegative"]
+        cli.validate = lambda inst: ["u: entries must be >= 0"]
         print(cli.main(["gen", "--kind", "sf", "--seed", "1"]))
         print("optimize", sys.flags.optimize)
         """
@@ -457,7 +500,7 @@ class TestChecksUnderOptimize:
             "bench knapsack reported infeasible",
             "error: certificate",
             "error.detail: generated instance fails validation: "
-            "upper bounds must be nonnegative",
+            "u: entries must be >= 0",
             str(EXIT_FAIL),
             "optimize 1",
         ]

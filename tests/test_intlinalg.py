@@ -132,6 +132,10 @@ class TestDet:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             det(IntMat.from_rows([[1, 2, 3], [4, 5, 6]]))
+        # nor is a matrix built from anything but ints: no entry is coerced
+        for bad in (2.5, True, "3", [4]):
+            with pytest.raises(DimensionError):
+                IntMat.from_rows([[1, bad], [3, 4]])
 
     @given(
         st.lists(

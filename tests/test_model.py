@@ -49,6 +49,22 @@ class TestValidate:
         )
         assert "stack not unimodular" in validate(inst)
 
+    def test_classic_standard_form_valid(self):
+        # G, S and g empty: A x = b, x >= 0, which needs A of full row rank
+        # and no unimodular stack; n = 1 makes the "stack" [w]
+        for a_row in ([2, 3, 5], [7]):
+            inst = make_standard(
+                [a_row], [], [], b=[7], g=[], u=[POS_INF] * len(a_row), c=[1] * len(a_row)
+            )
+            assert validate(inst) == []
+            assert validate(parse_instance(serialize_instance(inst))) == []
+
+    def test_classic_standard_form_needs_full_row_rank(self):
+        inst = make_standard(
+            [[1, 2, 3], [2, 4, 6]], [], [], b=[1, 2], g=[], u=[POS_INF] * 3, c=[1, 1, 1]
+        )
+        assert validate(inst) == ["A does not have full row rank"]
+
     def test_broken_divisibility_chain(self):
         inst = make_standard(
             [], [[1, 0], [0, 1]], [[3, 0], [0, 2]], b=[], g=[0, 0], u=[3, 3], c=[1, 1]

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from deltailp import oracle
 from deltailp.intlinalg import IntMat
 from deltailp.model import (
     NEG_INF,
@@ -74,7 +75,7 @@ class TestBruteForceIlp:
         assert fast == sorted(slow)
 
     def test_cap(self, monkeypatch):
-        monkeypatch.setenv("DELTA_ILP_POINT_CAP", "10")
+        monkeypatch.setattr(oracle, "_POINT_CAP", 10)
         inst = CanonicalInstance(
             A=IntMat.from_rows([[1]]), b_l=(NEG_INF,), b_r=(5,), c=(1,)
         )
